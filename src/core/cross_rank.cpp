@@ -69,22 +69,19 @@ SegmentedTrace reconstructMerged(const MergedReducedTrace& merged) {
   return out;
 }
 
-namespace {
-
-/// The distance methods decide ≈ purely from (candidate, store contents), so
-/// probing them against the frozen store prefix is sound; the
-/// iteration-based methods' match target depends on commit-time state
-/// (iter_k counts class members as of the commit; iter_avg accumulates into
-/// its match), so they take the serial leg only.
-bool probeEligible(Method m) { return m != Method::kIterK && m != Method::kIterAvg; }
-
-}  // namespace
-
 CrossRankMerger::CrossRankMerger(const MergeOptions& options)
     : options_(options),
       commitPolicy_(options.config.makePolicy()),
-      probeEligible_(probeEligible(options.config.method)) {
+      // The distance methods decide ≈ purely from (candidate, store
+      // contents), so probing them against the frozen store prefix is sound;
+      // the iteration-based methods' match target depends on commit-time
+      // state (iter_k counts class members as of the commit; iter_avg
+      // accumulates into its match), so they take the serial leg only.
+      probePolicy_(dynamic_cast<DistancePolicy*>(commitPolicy_.get())) {
   if (options_.shardRanks == 0) options_.shardRanks = 1;
+  // Resolved once: a numThreads > 1 config without a caller executor gets
+  // one pool for the whole merge, not one per shard.
+  exec_ = std::make_unique<ResolvedExecutor>(options_.config, options_.shardRanks);
   commitPolicy_->beginRank();  // one synthetic "rank", as in the serial pass
   commitBase_ = commitPolicy_->matchCounters();
 }
@@ -127,33 +124,32 @@ void CrossRankMerger::flushShard() {
   if (pending_.empty()) return;
   const std::size_t nUnits = pending_.size();
 
-  // Step 1 — parallel probe: test every candidate of the shard against the
-  // store prefix committed by earlier shards, which is frozen for the whole
-  // step (all commits happen in step 2). Store order puts every frozen entry
+  // Step 1 — probe: test every candidate of the shard against the store
+  // prefix committed by earlier shards, which is frozen for the whole step
+  // (all commits happen in step 2). Store order puts every frozen entry
   // before any in-shard addition, so an earliest frozen match IS the serial
   // first match, and a miss means the serial match (if any) lies inside the
-  // shard — resolved serially below. The probe unit is one rank: each unit
-  // runs under a freshly beginRank()-reset per-worker policy and records its
-  // own counter snapshot-diff in its slot, so both the probe results and the
-  // summed counters are independent of worker count and scheduling.
+  // shard — resolved serially below.
+  //
+  // The commit policy's cache and indexes over shared_ live for the whole
+  // merge. First, serially, sync the buckets the shard's candidates hit
+  // (index upkeep counts into the commit policy, once). Then the parallel
+  // probe only reads that state: one unit per rank, each counting into its
+  // own slot, so both the probe results and the summed counters are
+  // independent of worker count and scheduling.
   std::vector<std::vector<std::optional<SegmentId>>> probe(nUnits);
-  if (probeEligible_ && shared_.size() > 0) {
+  if (probePolicy_ != nullptr && shared_.size() > 0) {
+    for (const RankReduced& rr : pending_)
+      for (const Segment& rep : rr.stored) probePolicy_->sync(rep, shared_);
     std::vector<MatchCounters> unitCounters(nUnits);
-    ResolvedExecutor exec(options_.config, nUnits);
-    std::vector<std::unique_ptr<SimilarityPolicy>> policies;
-    policies.reserve(exec.workers());
-    for (std::size_t w = 0; w < exec.workers(); ++w)
-      policies.push_back(options_.config.makePolicy());
-    exec.shard([&](std::size_t worker, std::size_t unit) {
-      SimilarityPolicy& pol = *policies[worker];
-      pol.beginRank();
-      const MatchCounters base = pol.matchCounters();
+    exec_->executor().shard(nUnits, [&](std::size_t, std::size_t unit) {
       const RankReduced& rr = pending_[unit];
       auto& res = probe[unit];
       res.resize(rr.stored.size());
+      MatchCounters counters;
       for (SegmentId id = 0; id < rr.stored.size(); ++id)
-        res[id] = pol.tryMatch(rr.stored[id], shared_);
-      unitCounters[unit] = pol.matchCounters() - base;
+        res[id] = probePolicy_->query(rr.stored[id], shared_, counters);
+      unitCounters[unit] = counters;
     });
     for (const MatchCounters& c : unitCounters) probeCounters_.merge(c);
   }

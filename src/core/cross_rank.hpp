@@ -25,6 +25,15 @@
 //     candidates the probe could not (first match inside the shard, or a new
 //     store entry).
 //
+// The merger keeps ONE match index over the shared store (the commit
+// policy's feature cache and per-bucket indexes) for the whole merge. At
+// each shard boundary the buckets the shard's candidates hit are synced
+// serially (DistancePolicy::sync — deterministic, counted once), the probe
+// workers then query that index read-only (DistancePolicy::query, each unit
+// counting into its own slot), and the commit walk extends it as entries
+// are added. Nothing is rebuilt per rank or per shard, and the execution
+// policy is resolved once per merger, so a pooled merge starts one pool.
+//
 // Why the two-step shape instead of merging subtrees independently and
 // combining: similarity is not transitive, so a candidate can match a
 // *local* shard winner while the serial pass would have matched it against
@@ -56,6 +65,8 @@
 
 namespace tracered::core {
 
+class ResolvedExecutor;
+
 // The merged-trace data model lives in trace/ (trace/reduced_trace.hpp) with
 // its "TRM1" codec; re-exported here for the core-side API and existing
 // callers.
@@ -69,11 +80,12 @@ struct MergeStats {
   MatchCounters counters;  ///< Shared-store scans / pre-filter rejections —
                            ///< the same policy hooks (and the same feature
                            ///< cache) drive the inter-rank merge. For the
-                           ///< hierarchical driver: probe counters (per-rank
-                           ///< snapshot-diffs, summed in rank order at the
-                           ///< shard join) + commit-policy counters —
-                           ///< deterministic for a fixed MergeOptions across
-                           ///< thread counts and executors.
+                           ///< hierarchical driver: probe counters (one slot
+                           ///< per rank, summed at the shard join) +
+                           ///< commit-policy counters, which include the
+                           ///< serial index upkeep — deterministic for a
+                           ///< fixed MergeOptions across thread counts and
+                           ///< executors.
 
   double mergeRatio() const {
     return inputRepresentatives == 0
@@ -160,9 +172,10 @@ class CrossRankMerger {
   StringTable names_;
   SegmentStore shared_;
   std::unique_ptr<SimilarityPolicy> commitPolicy_;
+  DistancePolicy* probePolicy_;  ///< commitPolicy_ when it can probe, else null.
+  std::unique_ptr<ResolvedExecutor> exec_;
   MatchCounters commitBase_;
   MatchCounters probeCounters_;
-  bool probeEligible_;
   std::vector<Rank> rankIds_;
   std::vector<std::vector<SegmentExec>> execs_;
   std::vector<RankReduced> pending_;  ///< The shard being buffered.

@@ -68,6 +68,11 @@ class ResolvedExecutor {
   void shard(const std::function<void(std::size_t, std::size_t)>& fn,
              const ProgressFn& progress = {});
 
+  /// The resolved executor, for a caller that shards many batches of at
+  /// most numItems items through one resolution (the cross-rank merger
+  /// resolves once and shards every tree shard through it).
+  util::Executor& executor() { return *chosen_; }
+
  private:
   std::size_t numItems_;
   util::SerialExecutor serial_;

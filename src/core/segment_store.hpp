@@ -6,6 +6,8 @@
 
 #include <cstdint>
 #include <optional>
+#include <stdexcept>
+#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -46,6 +48,16 @@ class FeatureCache {
   void put(SegmentId id, SegmentFeatures features) {
     if (entries_.size() <= id) entries_.resize(id + 1);
     entries_[id] = std::move(features);
+  }
+
+  /// Features for `id`; throws std::logic_error on a miss. The read-only
+  /// lookup for concurrent readers of a synced cache — unlike getOrCompute,
+  /// it never resizes or writes.
+  const SegmentFeatures& get(SegmentId id) const {
+    if (!has(id))
+      throw std::logic_error("feature cache: no features for segment " +
+                             std::to_string(id) + " (bucket not synced)");
+    return *entries_[id];
   }
 
   /// Features for `id`, computing and caching them via `compute` on a miss.

@@ -33,20 +33,83 @@ double endKey(const Segment& s) { return std::fabs(static_cast<double>(s.end)); 
 
 std::optional<SegmentId> DistancePolicy::tryMatch(const Segment& candidate,
                                                   SegmentStore& store) {
+  return queryBucket(candidate, store, syncBucket(candidate.signature(), store),
+                     counters_);
+}
+
+void DistancePolicy::sync(const Segment& candidate, const SegmentStore& store) {
+  syncBucket(candidate.signature(), store);
+}
+
+std::optional<SegmentId> DistancePolicy::query(const Segment& candidate,
+                                               const SegmentStore& store,
+                                               MatchCounters& counters) const {
+  if (tier_ != AccelerationTier::kOff &&
+      (boundStore_ != &store || boundGeneration_ != store.generation()))
+    throw std::logic_error(name() + ": query on a store the policy is not synced to");
+  const std::uint64_t signature = candidate.signature();
+  SyncedBucket bucket{store.bucket(signature)};
+  if (tier_ == AccelerationTier::kIndexed && !bucket.ids.empty()) {
+    // The index must hold every bucket entry: one that missed the last sync
+    // would silently never be compared.
+    const auto synced = [&](const auto& index, const auto& map) {
+      if (index == map.end() || index->second.entries() != bucket.ids.size())
+        throw std::logic_error(name() + ": query on a bucket that grew since its sync");
+      return &index->second;
+    };
+    if (indexKind() == IndexKind::kMetricPivot)
+      bucket.metric = synced(metricIndex_.find(signature), metricIndex_);
+    else if (bucket.ids.size() >= EndIntervalIndex::kActivation)
+      bucket.end = synced(endIndex_.find(signature), endIndex_);
+  }
+  return queryBucket(candidate, store, bucket, counters);
+}
+
+DistancePolicy::SyncedBucket DistancePolicy::syncBucket(std::uint64_t signature,
+                                                        const SegmentStore& store) {
   // Bind before the empty-bucket return: onStored fires for this store even
   // when the candidate found nothing to compare against, and the cache it
   // writes must not mix id spaces.
   if (tier_ != AccelerationTier::kOff) bindStore(store);
+  SyncedBucket bucket{store.bucket(signature)};
+  if (bucket.ids.empty() || tier_ == AccelerationTier::kOff) return bucket;
 
-  const std::uint64_t signature = candidate.signature();
-  const auto& bucket = store.bucket(signature);
-  if (bucket.empty()) return std::nullopt;
+  const auto featuresOf = [&](SegmentId id) -> const SegmentFeatures& {
+    return cache_.getOrCompute(id, [&] { return features(store.segment(id)); });
+  };
+  if (indexKind() == IndexKind::kEndInterval) {
+    // Element-wise methods prepare nothing per entry; the index serves only
+    // buckets at its activation population.
+    if (tier_ == AccelerationTier::kCached ||
+        bucket.ids.size() < EndIntervalIndex::kActivation)
+      return bucket;
+    EndIntervalIndex& index = endIndex_[signature];
+    index.sync(bucket.ids, [&](SegmentId id) { return endKey(store.segment(id)); });
+    bucket.end = &index;
+  } else if (tier_ == AccelerationTier::kCached) {
+    for (SegmentId id : bucket.ids) featuresOf(id);
+  } else {
+    MetricBucketIndex& index = metricIndex_[signature];
+    index.sync(bucket.ids, featuresOf,
+               [this](const SegmentFeatures& fa, const SegmentFeatures& fb) {
+                 return indexDistance(fa, fb);
+               },
+               counters_);
+    bucket.metric = &index;
+  }
+  return bucket;
+}
 
+std::optional<SegmentId> DistancePolicy::queryBucket(const Segment& candidate,
+                                                     const SegmentStore& store,
+                                                     const SyncedBucket& bucket,
+                                                     MatchCounters& counters) const {
+  if (bucket.ids.empty()) return std::nullopt;
   switch (tier_) {
     case AccelerationTier::kOff: {
       // The literal Sec. 3.1 loop: recompute any derived data per pair.
-      for (SegmentId id : bucket) {
-        ++counters_.comparisons;
+      for (SegmentId id : bucket.ids) {
+        ++counters.comparisons;
         const Segment& stored = store.segment(id);
         if (!candidate.compatible(stored)) continue;  // signature collision guard
         if (similar(candidate, stored)) return id;
@@ -54,16 +117,16 @@ std::optional<SegmentId> DistancePolicy::tryMatch(const Segment& candidate,
       return std::nullopt;
     }
     case AccelerationTier::kCached:
-      return tryMatchCached(candidate, store, bucket);
+      return queryCached(candidate, store, bucket.ids, counters);
     case AccelerationTier::kIndexed:
-      return tryMatchIndexed(candidate, store, bucket, signature);
+      return queryIndexed(candidate, store, bucket, counters);
   }
   return std::nullopt;
 }
 
-std::optional<SegmentId> DistancePolicy::tryMatchCached(
-    const Segment& candidate, SegmentStore& store,
-    const std::vector<SegmentId>& bucket) {
+std::optional<SegmentId> DistancePolicy::queryCached(
+    const Segment& candidate, const SegmentStore& store,
+    const std::vector<SegmentId>& bucket, MatchCounters& counters) const {
   if (indexKind() == IndexKind::kEndInterval) {
     // Element-wise methods: there is nothing worth preparing per pair — the
     // only derivable datum is the O(1) segment end, and the end pair is
@@ -72,7 +135,7 @@ std::optional<SegmentId> DistancePolicy::tryMatchCached(
     // end-window arithmetic only pays off in the indexed tier, where the
     // sorted side array amortizes it across the whole bucket.
     for (SegmentId id : bucket) {
-      ++counters_.comparisons;
+      ++counters.comparisons;
       const Segment& stored = store.segment(id);
       if (!candidate.compatible(stored)) continue;
       if (similar(candidate, stored)) return id;
@@ -85,13 +148,12 @@ std::optional<SegmentId> DistancePolicy::tryMatchCached(
   // and the first accepted id are identical to the uncached path.
   const SegmentFeatures fc = features(candidate);
   for (SegmentId id : bucket) {
-    ++counters_.comparisons;
+    ++counters.comparisons;
     const Segment& stored = store.segment(id);
     if (!candidate.compatible(stored)) continue;
-    const SegmentFeatures& fs =
-        cache_.getOrCompute(id, [&] { return features(stored); });
+    const SegmentFeatures& fs = cache_.get(id);
     if (prefilterRejects(fc, fs)) {
-      ++counters_.pruned;
+      ++counters.pruned;
       continue;
     }
     if (similarPrepared(candidate, fc, stored, fs)) return id;
@@ -99,75 +161,75 @@ std::optional<SegmentId> DistancePolicy::tryMatchCached(
   return std::nullopt;
 }
 
-std::optional<SegmentId> DistancePolicy::tryMatchIndexed(
-    const Segment& candidate, SegmentStore& store,
-    const std::vector<SegmentId>& bucket, std::uint64_t signature) {
+std::optional<SegmentId> DistancePolicy::queryIndexed(const Segment& candidate,
+                                                      const SegmentStore& store,
+                                                      const SyncedBucket& bucket,
+                                                      MatchCounters& counters) const {
+  const std::vector<SegmentId>& ids = bucket.ids;
   if (indexKind() == IndexKind::kEndInterval) {
     // Below the activation population the index cannot recoup its own
     // bookkeeping — run the cached tier's lean window-prefiltered scan.
     // Buckets only grow, so the switchover happens once per bucket.
-    if (bucket.size() < EndIntervalIndex::kActivation)
-      return tryMatchCached(candidate, store, bucket);
-
-    EndIntervalIndex& index = endIndex_[signature];
-    index.sync(bucket, [&](SegmentId id) { return endKey(store.segment(id)); });
+    if (bucket.end == nullptr) return queryCached(candidate, store, ids, counters);
+    const EndIntervalIndex& index = *bucket.end;
 
     const KeyWindow window = admissibleEndWindow(endKey(candidate));
     if (!index.anyInWindow(window)) {
-      counters_.indexPruned += index.entries();
+      counters.indexPruned += index.entries();
       return std::nullopt;
     }
     if (index.coversAll(window)) {
       // The window admits every stored end — per-entry checks would all
       // pass, so run the plain scan (same result, same counters).
-      for (SegmentId id : bucket) {
-        ++counters_.comparisons;
+      for (SegmentId id : ids) {
+        ++counters.comparisons;
         const Segment& stored = store.segment(id);
         if (!candidate.compatible(stored)) continue;
-        ++counters_.indexVisited;
+        ++counters.indexVisited;
         if (similar(candidate, stored)) return id;
       }
       return std::nullopt;
     }
     // Store-order walk with the O(1) window check — the Sec. 3.1 loop's
     // first-match short-circuit, minus the entries the window excludes.
-    for (std::size_t i = 0; i < bucket.size(); ++i) {
+    for (std::size_t i = 0; i < ids.size(); ++i) {
       if (!window.contains(index.keyAt(i))) {
-        ++counters_.indexPruned;
+        ++counters.indexPruned;
         continue;
       }
-      ++counters_.comparisons;
-      const Segment& stored = store.segment(bucket[i]);
+      ++counters.comparisons;
+      const Segment& stored = store.segment(ids[i]);
       if (!candidate.compatible(stored)) continue;
-      ++counters_.indexVisited;
-      if (similar(candidate, stored)) return bucket[i];
+      ++counters.indexVisited;
+      if (similar(candidate, stored)) return ids[i];
     }
     return std::nullopt;
   }
 
-  MetricBucketIndex& index = metricIndex_[signature];
   const auto featuresOf = [&](SegmentId id) -> const SegmentFeatures& {
-    return cache_.getOrCompute(id, [&] { return features(store.segment(id)); });
+    return cache_.get(id);
   };
-  // Signature collisions can put different-length vectors in one bucket; a
-  // cross-length "distance" is meaningless for the triangle bounds, so feed
-  // the index NaN — every NaN comparison is false, so the affected pivot
-  // bounds simply never prune (the compatible guard keeps exactness).
-  const auto distanceOf = [&](const SegmentFeatures& fa, const SegmentFeatures& fb) {
-    return fa.vec.size() == fb.vec.size()
-               ? pairDistance(fa, fb)
-               : std::numeric_limits<double>::quiet_NaN();
-  };
-  index.sync(bucket, featuresOf, distanceOf, counters_);
-
   const SegmentFeatures fc = features(candidate);
-  return index.query(
-      fc, indexThreshold(), featuresOf, distanceOf,
+  return bucket.metric->query(
+      fc, indexThreshold(), featuresOf,
+      [this](const SegmentFeatures& fa, const SegmentFeatures& fb) {
+        return indexDistance(fa, fb);
+      },
       [&](SegmentId id) { return candidate.compatible(store.segment(id)); },
       [&](SegmentId id) {
         return similarPrepared(candidate, fc, store.segment(id), featuresOf(id));
       },
-      counters_);
+      counters);
+}
+
+double DistancePolicy::indexDistance(const SegmentFeatures& fa,
+                                     const SegmentFeatures& fb) const {
+  // Signature collisions can put different-length vectors in one bucket; a
+  // cross-length "distance" is meaningless for the triangle bounds, so feed
+  // the index NaN — every NaN comparison is false, so the affected pivot
+  // bounds simply never prune (the compatible guard keeps exactness).
+  return fa.vec.size() == fb.vec.size() ? pairDistance(fa, fb)
+                                        : std::numeric_limits<double>::quiet_NaN();
 }
 
 void DistancePolicy::onStored(const Segment& segment, SegmentId id) {

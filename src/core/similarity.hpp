@@ -116,19 +116,40 @@ class SimilarityPolicy {
 ///
 /// The cached tier computes the candidate's features once per tryMatch,
 /// reads stored features from the FeatureCache (populated in onStored,
-/// lazily filled for representatives added behind the policy's back), and
+/// filled by sync for representatives added behind the policy's back), and
 /// runs `prefilterRejects` — which may only reject pairs the full test would
 /// provably reject — before `similarPrepared`. The indexed tier additionally
 /// keeps a per-bucket MetricBucketIndex (metric methods) or
 /// EndIntervalIndex (element-wise methods), synced lazily against the
 /// store's bucket, and visits only the candidates the index admits. The
 /// first accepted id is identical in every tier.
+///
+/// Matching is two steps: `sync` (mutable: bind the store, fill the cache,
+/// fold new bucket entries into the bucket's index) and `query` (const: the
+/// tier logic against the synced state). tryMatch is sync + query over one
+/// index lookup; the cross-rank merger syncs a shard's buckets serially and
+/// then queries them from many threads at once.
 class DistancePolicy : public SimilarityPolicy {
  public:
   std::optional<SegmentId> tryMatch(const Segment& candidate,
                                     SegmentStore& store) override;
   void beginRank() override { resetDerivedState(); }
   void onStored(const Segment& segment, SegmentId id) override;
+
+  /// Mutable half of tryMatch: binds `store` (discarding derived state built
+  /// against another store or generation), fills the FeatureCache for the
+  /// candidate's bucket, and folds the bucket's new entries into its index.
+  /// Index upkeep counts into matchCounters().
+  void sync(const Segment& candidate, const SegmentStore& store);
+
+  /// Read-only half of tryMatch: the first representative (store order) in
+  /// the candidate's bucket that passes the ≈ test, decided against the
+  /// state the last sync left. Counts into `counters`, never into the
+  /// policy's own, so concurrent queries are safe while nothing syncs.
+  /// Throws std::logic_error when the policy is not bound to `store` or the
+  /// bucket grew since its last sync.
+  std::optional<SegmentId> query(const Segment& candidate, const SegmentStore& store,
+                                 MatchCounters& counters) const;
 
  protected:
   /// Which indexed-tier structure serves this method.
@@ -185,13 +206,31 @@ class DistancePolicy : public SimilarityPolicy {
   virtual KeyWindow admissibleEndWindow(double candEnd) const;
 
  private:
-  std::optional<SegmentId> tryMatchCached(const Segment& candidate,
-                                          SegmentStore& store,
-                                          const std::vector<SegmentId>& bucket);
-  std::optional<SegmentId> tryMatchIndexed(const Segment& candidate,
-                                           SegmentStore& store,
-                                           const std::vector<SegmentId>& bucket,
-                                           std::uint64_t signature);
+  /// One bucket as sync left it: its ids plus, in the indexed tier, the
+  /// index serving it (null while the bucket is below activation).
+  struct SyncedBucket {
+    const std::vector<SegmentId>& ids;
+    const MetricBucketIndex* metric = nullptr;
+    const EndIntervalIndex* end = nullptr;
+  };
+
+  SyncedBucket syncBucket(std::uint64_t signature, const SegmentStore& store);
+  std::optional<SegmentId> queryBucket(const Segment& candidate,
+                                       const SegmentStore& store,
+                                       const SyncedBucket& bucket,
+                                       MatchCounters& counters) const;
+  std::optional<SegmentId> queryCached(const Segment& candidate,
+                                       const SegmentStore& store,
+                                       const std::vector<SegmentId>& bucket,
+                                       MatchCounters& counters) const;
+  std::optional<SegmentId> queryIndexed(const Segment& candidate,
+                                        const SegmentStore& store,
+                                        const SyncedBucket& bucket,
+                                        MatchCounters& counters) const;
+
+  /// pairDistance for the index: NaN for vectors of different lengths
+  /// (signature collisions), so no pivot bound prunes on them.
+  double indexDistance(const SegmentFeatures& fa, const SegmentFeatures& fb) const;
 
   /// Discards every piece of state derived from a store's id space.
   void resetDerivedState();

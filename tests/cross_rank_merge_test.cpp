@@ -265,6 +265,88 @@ TEST(CrossRankMerge, IncrementalFeedMatchesWholeTrace) {
   EXPECT_THROW(merger.addRank(reduced.names, reduced.ranks[0]), std::logic_error);
 }
 
+/// `ranks` relabeled copies of `base`'s ranks, cycling through `variants`
+/// time dilations (x1.0, x1.5, x2.0, ...) of every stored segment — the
+/// population bench_merge feeds. Variant v only matches variant v, so each
+/// shared bucket holds one entry per distinct variant: enough to pass
+/// MetricBucketIndex::kPivotActivation, while the store stays O(variants ×
+/// base) however many ranks arrive.
+ReducedTrace dilatedCopies(const ReducedTrace& base, std::size_t ranks,
+                           std::size_t variants) {
+  ReducedTrace out;
+  for (const auto& s : base.names.all()) out.names.intern(s);
+  while (out.ranks.size() < ranks) {
+    for (const RankReduced& rr : base.ranks) {
+      if (out.ranks.size() >= ranks) break;
+      const Rank rank = static_cast<Rank>(out.ranks.size());
+      const TimeUs num = static_cast<TimeUs>(1024 + (out.ranks.size() % variants) * 512);
+      RankReduced copy = rr;
+      copy.rank = rank;
+      for (Segment& seg : copy.stored) {
+        seg.rank = rank;
+        seg.end = seg.end * num / 1024;
+        for (EventInterval& e : seg.events) {
+          e.start = e.start * num / 1024;
+          e.end = e.end * num / 1024;
+        }
+      }
+      out.ranks.push_back(std::move(copy));
+    }
+  }
+  return out;
+}
+
+ReducedTrace dilatedSparseRanks(std::size_t ranks) {
+  eval::WorkloadOptions opts;
+  opts.scale = 0.05;
+  const Trace trace = eval::runWorkload("scenario:sparse_ranks", opts);
+  return dilatedCopies(reduceWith(trace, Method::kAvgWave), ranks, 16);
+}
+
+// Regression: the probe used to rebuild the shared store's match index for
+// every rank — re-deriving every representative's features and pivot
+// distances in each bucket the rank touched — so pivot distance work grew
+// with ranks × bucket size. One index over the shared store, synced once per
+// entry and probed read-only, pays at most kNumPivots distances per
+// representative it indexes and per candidate it queries.
+TEST(CrossRankMerge, ProbeReusesOneIndexOverTheSharedStore) {
+  const ReducedTrace input = dilatedSparseRanks(512);
+  MergeOptions mo;
+  mo.config = ReductionConfig::defaults(Method::kAvgWave);
+  mo.shardRanks = 64;
+  const MergeResult got = mergeAcrossRanks(input, mo);
+  const MergeStats& stats = got.stats;
+  ASSERT_GT(stats.counters.pivotDistEvals, 0u)
+      << "shared buckets must reach pivot activation for this test to bite";
+  EXPECT_LE(stats.counters.pivotDistEvals,
+            MetricBucketIndex::kNumPivots *
+                (stats.inputRepresentatives + stats.mergedRepresentatives));
+  EXPECT_EQ(serializeMergedTrace(got.merged),
+            serializeMergedTrace(serialReference(input, Method::kAvgWave)));
+}
+
+// The probe's concurrent read path: four workers query the one synced index
+// at once (buckets with active pivots, so the pivot arrays and the feature
+// cache are read concurrently). Bytes match the serial reference and
+// counters match the inline run. Runs under the TSan job.
+TEST(CrossRankMerge, ConcurrentReadOnlyProbeMatchesSerial) {
+  const ReducedTrace input = dilatedSparseRanks(256);
+  util::PooledExecutor pool(4);
+  for (Method m : {Method::kAvgWave, Method::kEuclidean}) {
+    SCOPED_TRACE(methodName(m));
+    MergeOptions mo;
+    mo.config = ReductionConfig::defaults(m);
+    mo.shardRanks = 16;
+    const MergeResult inlineRun = mergeAcrossRanks(input, mo);
+    mo.config.executor = &pool;
+    const MergeResult pooled = mergeAcrossRanks(input, mo);
+    EXPECT_GT(pooled.stats.counters.pivotDistEvals, 0u);
+    EXPECT_EQ(serializeMergedTrace(pooled.merged),
+              serializeMergedTrace(serialReference(input, m)));
+    EXPECT_EQ(pooled.stats.counters, inlineRun.stats.counters);
+  }
+}
+
 // Ranks fed from DIFFERENT string tables (independent per-rank reductions,
 // the multi-file ingest shape): name ids are remapped into the merger's
 // table, so equal-named contexts still merge across ranks.

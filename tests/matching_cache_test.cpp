@@ -244,6 +244,85 @@ TEST(MatchingCache, StoreClearInvalidatesCachedFeaturesAndIndexes) {
   EXPECT_FALSE(iterK.tryMatch(original, store).has_value());
 }
 
+/// `n` compatible segments whose measurements grow by 10% per step, so a
+/// bucket fills past every index activation population.
+std::vector<Segment> growingSegments(StringTable& names, int n) {
+  std::vector<Segment> out;
+  for (int i = 0; i < n; ++i) {
+    const TimeUs end = 100 + 10 * i * i;
+    out.push_back(makeSegment(names, "m", 0, end,
+                              {{"f", OpKind::kCompute, 1, end - 1, {}}}));
+  }
+  return out;
+}
+
+// tryMatch is sync + query: a policy driven through the split halves, with
+// its query counters kept apart, answers every candidate exactly like one
+// driven through tryMatch, and the two counter streams add up to tryMatch's.
+TEST(MatchingCache, SyncThenQueryEqualsTryMatch) {
+  StringTable names;
+  const std::vector<Segment> segs = growingSegments(names, 24);
+  for (Method m : {Method::kRelDiff, Method::kAbsDiff, Method::kEuclidean,
+                   Method::kAvgWave}) {
+    for (AccelerationTier tier : {AccelerationTier::kOff, AccelerationTier::kCached,
+                                  AccelerationTier::kIndexed}) {
+      SCOPED_TRACE(std::string(methodName(m)) + " tier " +
+                   std::to_string(static_cast<int>(tier)));
+      auto whole = makePolicy(m, defaultThreshold(m) / 8);
+      auto split = makePolicy(m, defaultThreshold(m) / 8);
+      whole->setAccelerationTier(tier);
+      split->setAccelerationTier(tier);
+      auto& dist = dynamic_cast<DistancePolicy&>(*split);
+      SegmentStore a, b;
+      MatchCounters queried;
+      for (const Segment& s : segs) {
+        const auto want = whole->tryMatch(s, a);
+        dist.sync(s, b);
+        const auto got = dist.query(s, b, queried);
+        ASSERT_EQ(got, want);
+        if (!want) {
+          const SegmentId ia = a.add(s);
+          whole->onStored(a.segment(ia), ia);
+          const SegmentId ib = b.add(s);
+          split->onStored(b.segment(ib), ib);
+        }
+      }
+      EXPECT_GT(a.size(), EndIntervalIndex::kActivation);
+      MatchCounters total = split->matchCounters();
+      total.merge(queried);
+      EXPECT_EQ(total, whole->matchCounters());
+    }
+  }
+}
+
+// The read-only probe never rebuilds: querying a store the policy is not
+// synced to, or a bucket that grew since its sync, throws instead of
+// silently answering from partial state.
+TEST(MatchingCache, QueryFailsLoudlyWhenNotSynced) {
+  StringTable names;
+  const std::vector<Segment> segs = growingSegments(names, 12);
+  for (Method m : {Method::kRelDiff, Method::kEuclidean, Method::kAvgWave}) {
+    SCOPED_TRACE(methodName(m));
+    auto policy = makePolicy(m, defaultThreshold(m));
+    auto& dist = dynamic_cast<DistancePolicy&>(*policy);
+    SegmentStore store;
+    for (const Segment& s : segs) store.add(s);  // behind the policy's back
+    MatchCounters counters;
+    EXPECT_THROW((void)dist.query(segs[0], store, counters), std::logic_error);
+
+    dist.sync(segs[0], store);
+    EXPECT_EQ(dist.query(segs[0], store, counters), std::optional<SegmentId>(0));
+    SegmentStore other;
+    other.add(segs[0]);
+    EXPECT_THROW((void)dist.query(segs[0], other, counters), std::logic_error);
+
+    store.add(segs.back());  // the bucket grows; the index has not seen it
+    EXPECT_THROW((void)dist.query(segs[0], store, counters), std::logic_error);
+    dist.sync(segs[0], store);
+    EXPECT_NO_THROW((void)dist.query(segs[0], store, counters));
+  }
+}
+
 TEST(MatchingCache, AccelerationOffNeverPopulatesTheCacheButStillMatches) {
   StringTable names;
   const Segment a = makeSegment(names, "m", 0, 100,
@@ -294,9 +373,17 @@ TEST(FeatureCache, PutGetOrComputeAndClear) {
   EXPECT_EQ(computations, 1);
   EXPECT_EQ(cache.getOrCompute(1, [] { return SegmentFeatures{}; }).norm, 3.0);
 
+  // The read-only lookup serves cached entries and throws on a miss rather
+  // than growing the cache.
+  const FeatureCache& frozen = cache;
+  EXPECT_EQ(frozen.get(1).norm, 3.0);
+  EXPECT_THROW((void)frozen.get(5), std::logic_error);
+  EXPECT_EQ(frozen.size(), 2u);
+
   cache.clear();
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_FALSE(cache.has(1));
+  EXPECT_THROW((void)frozen.get(0), std::logic_error);
 }
 
 TEST(MatchCountersTest, MergeDiffAndPruneRate) {
