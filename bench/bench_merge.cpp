@@ -120,11 +120,9 @@ int run(int argc, char** argv) {
       usageExit(opts.args(), e.what());
     }
   }
-  serialOpts.config.numThreads = 1;
   serialOpts.shardRanks = shard;
   core::MergeOptions parallelOpts = serialOpts;
-  // One shared pool across every flush and tier — the amortized-executor
-  // story (README "Amortized pools"), not the pool-per-call shim.
+  // One shared pool across every flush and tier (README "Amortized pools").
   parallelOpts.config = parallelOpts.config.withExecutor(opts.executor());
 
   char line[512];

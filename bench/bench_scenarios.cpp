@@ -1,6 +1,6 @@
 // Per-scenario bench rows for the perf trajectory: reduces every registered
 // scenario with one config and appends one JSON line per scenario —
-// segments, stored, reduction %, retained file %, matching-loop prune rate,
+// segments, stored, reduction %, retained file %, representatives scanned,
 // wall ms, and the TRF1 corpus checksum — to stdout AND an output file
 // (append mode, so CI can accumulate the rows into the BENCH_matching.json
 // trajectory artifact next to the matching study's).
@@ -68,14 +68,14 @@ int run(int argc, char** argv) {
         line, sizeof line,
         "{\"bench\":\"scenarios\",\"scenario\":\"%s\",\"ranks\":%zu,"
         "\"segments\":%zu,\"stored\":%zu,\"reduction_pct\":%.2f,"
-        "\"file_pct\":%.2f,\"comparisons\":%zu,\"pruned\":%zu,"
-        "\"prune_rate\":%.4f,\"ms\":%.3f,\"trf1_fnv1a\":\"%016llx\"}\n",
+        "\"file_pct\":%.2f,\"comparisons\":%zu,\"ms\":%.3f,"
+        "\"trf1_fnv1a\":\"%016llx\"}\n",
         name.c_str(), segmented.ranks.size(), res.stats.totalSegments,
         res.stats.storedSegments,
         total > 0 ? 100.0 * (1.0 - static_cast<double>(res.stats.storedSegments) / total)
                   : 0.0,
         100.0 * static_cast<double>(reducedSize) / static_cast<double>(fullBytes.size()),
-        res.counters.comparisons, res.counters.pruned, res.counters.pruneRate(), ms,
+        res.counters.comparisons, ms,
         static_cast<unsigned long long>(util::fnv1a64(fullBytes)));
     emit(line);
   }

@@ -10,28 +10,22 @@
 // trajectory:
 //
 //   * rank-scaling (plain invocation or --rank-scaling): sweep3d_32p,
-//     32 ranks, every method: serial, per-call-pool sharding, and sharding
-//     through one shared PooledExecutor — the pooled column shows what pool
-//     reuse buys over paying spawn/join per call.
+//     32 ranks, every method: serial, and sharded through one shared
+//     PooledExecutor reused across every call.
 //       {"bench":"rank_scaling","workload":"sweep3d_32p","method":...}
 //   * matching (plain invocation or --matching, also written to
-//     BENCH_matching.json / --matching-out): every method across all three
-//     acceleration tiers — the literal uncached Sec. 3.1 loop
-//     (AccelerationTier::kOff), the feature-cached + norm-pruned scan
-//     (kCached), and the per-bucket match index (kIndexed, the default) —
-//     verifying that all three reduce bit-identically and reporting the
-//     hot-loop instrumentation of each:
-//       {"bench":"matching","method":...,"ms_base":...,"ms_cached":...,
-//        "speedup_cached":...,"ms_indexed":...,"speedup_indexed":...,
-//        "comparisons":...,"pruned":...,"prune_rate":...,
+//     BENCH_matching.json / --matching-out): every method through the
+//     per-bucket match index, reporting its wall clock and hot-loop
+//     instrumentation:
+//       {"bench":"matching","method":...,"ms":...,"comparisons":...,
 //        "index_visited":...,"index_pruned":...,"index_prune_rate":...,
-//        "pivot_dist_evals":...,"exact_evals":...}
+//        "pivot_dist_evals":...,"exact_evals":...,"stored":...}
 //     Two fixtures per run: the main one (late_sender small / sweep3d_32p
 //     full) plus scenario:multi_region — the index's worst-case adversary
-//     (many near-identical representatives per bucket, where the uncached
+//     (many near-identical representatives per bucket, where the literal
 //     loop goes quadratic). --small swaps in the reduced-scale fixtures
-//     (the ctest / CI smoke configuration); any identity mismatch on any
-//     row exits nonzero.
+//     (the ctest / CI smoke configuration). Bit-identity against the literal
+//     Sec. 3.1 loop is asserted registry-wide by matching_cache_test.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -48,7 +42,6 @@
 #include "trace/segmenter.hpp"
 #include "trace/trace_io.hpp"
 #include "util/executor.hpp"
-#include "util/thread_pool.hpp"
 #include "wavelet/wavelet.hpp"
 
 namespace {
@@ -93,7 +86,7 @@ const WideFixture& wide() {
 
 /// The matching study's adversarial fixture: scenario:multi_region piles
 /// many near-identical segments into the same signature buckets, so the
-/// uncached Sec. 3.1 loop degrades toward quadratic — the case the match
+/// literal Sec. 3.1 loop degrades toward quadratic — the case the match
 /// index exists for.
 struct MultiRegionFixture {
   Trace trace;
@@ -131,24 +124,8 @@ void BM_Reduce(benchmark::State& state, core::Method method) {
   state.SetItemsProcessed(static_cast<std::int64_t>(segments));
 }
 
-/// Rank-sharded reduction over the 32-rank fixture, one pool per call
-/// (the compatibility cost model); range(0) = threads.
-void BM_ReduceParallel(benchmark::State& state, core::Method method) {
-  const WideFixture& f = wide();
-  core::ReductionConfig config = core::ReductionConfig::defaults(method);
-  config.numThreads = static_cast<int>(state.range(0));
-  std::size_t segments = 0;
-  for (auto _ : state) {
-    const core::ReductionResult res =
-        core::reduceTrace(f.segmented, f.trace.names(), config);
-    benchmark::DoNotOptimize(res.stats.matches);
-    segments += res.stats.totalSegments;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(segments));
-}
-
-/// Same sharding through one PooledExecutor reused across iterations — the
-/// amortized path sweeps should use; range(0) = threads.
+/// Rank-sharded reduction over the 32-rank fixture through one
+/// PooledExecutor reused across iterations; range(0) = threads.
 void BM_ReducePooled(benchmark::State& state, core::Method method) {
   const WideFixture& f = wide();
   util::PooledExecutor pool(static_cast<int>(state.range(0)));
@@ -193,57 +170,6 @@ void BM_WaveletTransform(benchmark::State& state) {
                           state.range(0));
 }
 
-/// Wall-clock of one reduction under `config`, best of `reps`.
-double reduceMillis(const WideFixture& f, const core::ReductionConfig& config,
-                    int reps) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    const core::ReductionResult res =
-        core::reduceTrace(f.segmented, f.trace.names(), config);
-    const auto t1 = std::chrono::steady_clock::now();
-    benchmark::DoNotOptimize(res.stats.matches);
-    const double ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-    if (ms < best) best = ms;
-  }
-  return best;
-}
-
-/// The rank-scaling study: serial vs per-call-pool vs shared-pool sharding
-/// for every method, one JSON line per method. ms_parallel pays ThreadPool
-/// spawn/join inside every call; ms_pooled reuses one PooledExecutor across
-/// all calls, so pool_amortization = ms_parallel / ms_pooled is the worker-
-/// churn overhead the executor redesign removes. The perf trajectory future
-/// PRs extend.
-void runRankScalingStudy() {
-  const WideFixture& f = wide();
-  // Report the thread count the driver actually uses (clamped to the rank
-  // count), not raw hardware concurrency.
-  const int hw = static_cast<int>(util::resolveThreads(0, f.segmented.ranks.size()));
-  const int reps = 3;
-  std::printf("{\"bench\":\"rank_scaling\",\"workload\":\"sweep3d_32p\","
-              "\"ranks\":%zu,\"segments\":%zu,\"hw_threads\":%d}\n",
-              f.segmented.ranks.size(), f.segmented.totalSegments(), hw);
-  util::PooledExecutor pool(hw);  // shared by every ms_pooled measurement
-  for (core::Method m : core::allMethods()) {
-    core::ReductionConfig serialCfg = core::ReductionConfig::defaults(m);
-    core::ReductionConfig perCallCfg = serialCfg;
-    perCallCfg.numThreads = hw;
-    const double t1 = reduceMillis(f, serialCfg, reps);
-    const double tn = reduceMillis(f, perCallCfg, reps);
-    const double tp = reduceMillis(f, serialCfg.withExecutor(pool), reps);
-    std::printf("{\"bench\":\"rank_scaling\",\"workload\":\"sweep3d_32p\","
-                "\"method\":\"%s\",\"threshold\":%g,\"threads_serial\":1,"
-                "\"ms_serial\":%.3f,\"threads_parallel\":%d,\"ms_parallel\":%.3f,"
-                "\"speedup\":%.3f,\"ms_pooled\":%.3f,\"speedup_pooled\":%.3f,"
-                "\"pool_amortization\":%.3f}\n",
-                core::methodName(m), core::defaultThreshold(m), t1, hw, tn,
-                tn > 0 ? t1 / tn : 0.0, tp, tp > 0 ? t1 / tp : 0.0,
-                tp > 0 ? tn / tp : 0.0);
-  }
-  std::fflush(stdout);
-}
-
 /// Best-of-`reps` wall clock of `run`; the last run's result lands in *last.
 double bestMillisOf(int reps, const std::function<core::ReductionResult()>& run,
                     core::ReductionResult* last) {
@@ -260,18 +186,43 @@ double bestMillisOf(int reps, const std::function<core::ReductionResult()>& run,
   return best;
 }
 
-bool sameReduction(const core::ReductionResult& a, const core::ReductionResult& b) {
-  return a.stats == b.stats && a.reduced.ranks == b.reduced.ranks;
+/// The rank-scaling study: serial vs sharding through one shared
+/// PooledExecutor for every method, one JSON line per method. The pool is
+/// reused across all calls, so ms_pooled pays worker spawn/join once.
+void runRankScalingStudy() {
+  const WideFixture& f = wide();
+  const int reps = 3;
+  util::PooledExecutor pool;  // hardware width, shared by every ms_pooled run
+  // Report the worker count the driver actually uses (clamped to the rank
+  // count), not raw hardware concurrency.
+  const std::size_t threads = core::shardWorkers(&pool, f.segmented.ranks.size());
+  std::printf("{\"bench\":\"rank_scaling\",\"workload\":\"sweep3d_32p\","
+              "\"ranks\":%zu,\"segments\":%zu,\"hw_threads\":%zu}\n",
+              f.segmented.ranks.size(), f.segmented.totalSegments(), threads);
+  for (core::Method m : core::allMethods()) {
+    const core::ReductionConfig serialCfg = core::ReductionConfig::defaults(m);
+    const core::ReductionConfig pooledCfg = serialCfg.withExecutor(pool);
+    const double t1 = bestMillisOf(
+        reps, [&] { return core::reduceTrace(f.segmented, f.trace.names(), serialCfg); },
+        nullptr);
+    const double tp = bestMillisOf(
+        reps, [&] { return core::reduceTrace(f.segmented, f.trace.names(), pooledCfg); },
+        nullptr);
+    std::printf("{\"bench\":\"rank_scaling\",\"workload\":\"sweep3d_32p\","
+                "\"method\":\"%s\",\"threshold\":%g,\"threads_serial\":1,"
+                "\"ms_serial\":%.3f,\"threads_pooled\":%zu,\"ms_pooled\":%.3f,"
+                "\"speedup_pooled\":%.3f}\n",
+                core::methodName(m), core::defaultThreshold(m), t1, threads, tp,
+                tp > 0 ? t1 / tp : 0.0);
+  }
+  std::fflush(stdout);
 }
 
-/// The matching study: the three acceleration tiers (uncached Sec. 3.1
-/// loop / feature-cached + norm-pruned scan / per-bucket match index) per
-/// method on the main fixture AND the adversarial scenario:multi_region
-/// fixture, verifying that all tiers reduce bit-identically. One JSON line
+/// The matching study: the per-bucket match index per method on the main
+/// fixture AND the adversarial scenario:multi_region fixture. One JSON line
 /// per (workload, method) to stdout AND `outPath` — the BENCH_matching.json
-/// perf trajectory. Returns false on any identity mismatch (which would
-/// mean a fast path changed semantics).
-bool runMatchingStudy(bool small, const char* outPath, int reps) {
+/// perf trajectory.
+void runMatchingStudy(bool small, const char* outPath, int reps) {
   struct Entry {
     const char* workload;
     const Trace* trace;
@@ -286,9 +237,8 @@ bool runMatchingStudy(bool small, const char* outPath, int reps) {
                     &multiRegionFull().segmented},
   };
 
-  // An unwritable cwd only loses the archived copy — the study (and its
-  // identity verdict, the reason this function can fail) still runs and
-  // prints to stdout.
+  // An unwritable cwd only loses the archived copy — the study still runs
+  // and prints to stdout.
   FILE* out = std::fopen(outPath, "w");
   if (out == nullptr)
     std::fprintf(stderr, "micro_reduction_perf: cannot write %s; printing to stdout only\n",
@@ -298,8 +248,7 @@ bool runMatchingStudy(bool small, const char* outPath, int reps) {
     if (out != nullptr) std::fputs(line, out);
   };
 
-  bool ok = true;
-  char line[768];
+  char line[512];
   for (const Entry& e : entries) {
     std::snprintf(line, sizeof line,
                   "{\"bench\":\"matching\",\"workload\":\"%s\",\"ranks\":%zu,"
@@ -309,56 +258,29 @@ bool runMatchingStudy(bool small, const char* outPath, int reps) {
     emit(line);
 
     for (core::Method m : core::allMethods()) {
-      const auto runTier = [&](core::AccelerationTier tier,
-                               core::ReductionResult* res) {
-        return bestMillisOf(
-            reps,
-            [&] {
-              auto policy = core::makeDefaultPolicy(m);
-              policy->setAccelerationTier(tier);
-              return core::reduceTrace(*e.segmented, e.trace->names(), *policy);
-            },
-            res);
-      };
-      core::ReductionResult base, cached, indexed;
-      const double msBase = runTier(core::AccelerationTier::kOff, &base);
-      const double msCached = runTier(core::AccelerationTier::kCached, &cached);
-      const double msIndexed = runTier(core::AccelerationTier::kIndexed, &indexed);
-      const bool identical =
-          sameReduction(base, cached) && sameReduction(base, indexed);
-      ok = ok && identical;
-      // comparisons/pruned/prune_rate stay the cached tier's numbers (the
-      // trajectory the earlier PRs established); the index_* columns and
-      // exact_evals describe the indexed tier. exact_evals vs the baseline's
-      // comparisons is the "exact distance evaluations saved" headline.
+      core::ReductionResult res;
+      const double ms = bestMillisOf(
+          reps,
+          [&] {
+            auto policy = core::makeDefaultPolicy(m);
+            return core::reduceTrace(*e.segmented, e.trace->names(), *policy);
+          },
+          &res);
       std::snprintf(
           line, sizeof line,
           "{\"bench\":\"matching\",\"workload\":\"%s\",\"method\":\"%s\","
-          "\"threshold\":%g,\"ms_base\":%.3f,\"ms_cached\":%.3f,"
-          "\"speedup_cached\":%.3f,\"ms_indexed\":%.3f,\"speedup_indexed\":%.3f,"
-          "\"comparisons\":%zu,\"pruned\":%zu,\"prune_rate\":%.4f,"
+          "\"threshold\":%g,\"ms\":%.3f,\"comparisons\":%zu,"
           "\"index_visited\":%zu,\"index_pruned\":%zu,\"index_prune_rate\":%.4f,"
-          "\"pivot_dist_evals\":%zu,\"exact_evals\":%zu,\"stored\":%zu,"
-          "\"identical\":%s}\n",
-          e.workload, core::methodName(m), core::defaultThreshold(m), msBase,
-          msCached, msCached > 0 ? msBase / msCached : 0.0, msIndexed,
-          msIndexed > 0 ? msBase / msIndexed : 0.0, cached.counters.comparisons,
-          cached.counters.pruned, cached.counters.pruneRate(),
-          indexed.counters.indexVisited, indexed.counters.indexPruned,
-          indexed.counters.indexPruneRate(), indexed.counters.pivotDistEvals,
-          indexed.counters.exactEvals(), indexed.stats.storedSegments,
-          identical ? "true" : "false");
+          "\"pivot_dist_evals\":%zu,\"exact_evals\":%zu,\"stored\":%zu}\n",
+          e.workload, core::methodName(m), core::defaultThreshold(m), ms,
+          res.counters.comparisons, res.counters.indexVisited, res.counters.indexPruned,
+          res.counters.indexPruneRate(), res.counters.pivotDistEvals,
+          res.counters.exactEvals(), res.stats.storedSegments);
       emit(line);
-      if (!identical)
-        std::fprintf(stderr,
-                     "micro_reduction_perf: %s/%s: accelerated result differs "
-                     "from the uncached baseline!\n",
-                     e.workload, core::methodName(m));
     }
   }
   if (out != nullptr) std::fclose(out);
   std::fflush(stdout);
-  return ok;
 }
 
 }  // namespace
@@ -372,10 +294,6 @@ BENCHMARK_CAPTURE(BM_Reduce, iter_k, tracered::core::Method::kIterK);
 BENCHMARK_CAPTURE(BM_Reduce, avgWave, tracered::core::Method::kAvgWave);
 BENCHMARK_CAPTURE(BM_Reduce, haarWave, tracered::core::Method::kHaarWave);
 BENCHMARK_CAPTURE(BM_Reduce, iter_avg, tracered::core::Method::kIterAvg);
-BENCHMARK_CAPTURE(BM_ReduceParallel, avgWave, tracered::core::Method::kAvgWave)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-BENCHMARK_CAPTURE(BM_ReduceParallel, Euclidean, tracered::core::Method::kEuclidean)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 BENCHMARK_CAPTURE(BM_ReducePooled, avgWave, tracered::core::Method::kAvgWave)
     ->Arg(2)->Arg(4)->Arg(8);
 BENCHMARK_CAPTURE(BM_ReducePooled, Euclidean, tracered::core::Method::kEuclidean)
@@ -415,8 +333,7 @@ int main(int argc, char** argv) {
   }
   argc = keptArgc;
   if (rankScaling) runRankScalingStudy();
-  if (matching && !runMatchingStudy(small, matchingOut.c_str(), matchingReps))
-    return 1;
+  if (matching) runMatchingStudy(small, matchingOut.c_str(), matchingReps);
 
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

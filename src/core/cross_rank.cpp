@@ -79,9 +79,6 @@ CrossRankMerger::CrossRankMerger(const MergeOptions& options)
       // accumulates into its match), so they take the serial leg only.
       probePolicy_(dynamic_cast<DistancePolicy*>(commitPolicy_.get())) {
   if (options_.shardRanks == 0) options_.shardRanks = 1;
-  // Resolved once: a numThreads > 1 config without a caller executor gets
-  // one pool for the whole merge, not one per shard.
-  exec_ = std::make_unique<ResolvedExecutor>(options_.config, options_.shardRanks);
   commitPolicy_->beginRank();  // one synthetic "rank", as in the serial pass
   commitBase_ = commitPolicy_->matchCounters();
 }
@@ -142,7 +139,7 @@ void CrossRankMerger::flushShard() {
     for (const RankReduced& rr : pending_)
       for (const Segment& rep : rr.stored) probePolicy_->sync(rep, shared_);
     std::vector<MatchCounters> unitCounters(nUnits);
-    exec_->executor().shard(nUnits, [&](std::size_t, std::size_t unit) {
+    runSharded(options_.config.executor, nUnits, [&](std::size_t, std::size_t unit) {
       const RankReduced& rr = pending_[unit];
       auto& res = probe[unit];
       res.resize(rr.stored.size());
@@ -158,8 +155,8 @@ void CrossRankMerger::flushShard() {
   // pass: probe-matched candidates just remap; the rest run the full
   // tryMatch on the live store (finding in-shard additions) or are appended.
   // Match decisions are pure functions of (candidate, store, threshold) —
-  // the acceleration tiers' bit-identity guarantee — so skipping the commit
-  // policy for probe-matched candidates can never change a later decision.
+  // the index's bit-identity guarantee — so skipping the commit policy for
+  // probe-matched candidates can never change a later decision.
   for (std::size_t unit = 0; unit < nUnits; ++unit) {
     const RankReduced& rr = pending_[unit];
     const auto& probed = probe[unit];

@@ -31,8 +31,8 @@
 // serially (DistancePolicy::sync — deterministic, counted once), the probe
 // workers then query that index read-only (DistancePolicy::query, each unit
 // counting into its own slot), and the commit walk extends it as entries
-// are added. Nothing is rebuilt per rank or per shard, and the execution
-// policy is resolved once per merger, so a pooled merge starts one pool.
+// are added. Nothing is rebuilt per rank or per shard, and every shard runs
+// through the config's one executor, so a pooled merge starts one pool.
 //
 // Why the two-step shape instead of merging subtrees independently and
 // combining: similarity is not transitive, so a candidate can match a
@@ -44,7 +44,7 @@
 // probe miss means the serial match (if any) is an in-shard addition, which
 // the serial commit walk finds exactly where the reference pass would. The
 // merged output is therefore bit-identical to the serial reference for
-// every shard size and thread count, by construction (and by
+// every shard size and executor, by construction (and by
 // cross_rank_merge_test's registry-wide differential sweep).
 //
 // The iteration-based methods (iter_k, iter_avg) are order-sensitive — their
@@ -65,8 +65,6 @@
 
 namespace tracered::core {
 
-class ResolvedExecutor;
-
 // The merged-trace data model lives in trace/ (trace/reduced_trace.hpp) with
 // its "TRM1" codec; re-exported here for the core-side API and existing
 // callers.
@@ -77,15 +75,14 @@ using tracered::mergedTraceSize;
 struct MergeStats {
   std::size_t inputRepresentatives = 0;
   std::size_t mergedRepresentatives = 0;
-  MatchCounters counters;  ///< Shared-store scans / pre-filter rejections —
+  MatchCounters counters;  ///< Shared-store scans / index decisions —
                            ///< the same policy hooks (and the same feature
                            ///< cache) drive the inter-rank merge. For the
                            ///< hierarchical driver: probe counters (one slot
                            ///< per rank, summed at the shard join) +
                            ///< commit-policy counters, which include the
                            ///< serial index upkeep — deterministic for a
-                           ///< fixed MergeOptions across thread counts and
-                           ///< executors.
+                           ///< fixed MergeOptions across executors.
 
   double mergeRatio() const {
     return inputRepresentatives == 0
@@ -96,11 +93,11 @@ struct MergeStats {
 };
 
 /// How the hierarchical driver runs: which policy decides ≈ (config.method /
-/// threshold / acceleration), how it executes (config.executor / numThreads,
-/// resolved exactly like the intra-process drivers), and how many ranks form
-/// one tree shard. Neither shardRanks nor the execution policy ever changes
-/// the merged bytes — only the wall clock and the peak working set, which is
-/// O(shard + shared store) when ranks are fed incrementally.
+/// threshold), how it executes (config.executor, or inline when null,
+/// exactly like the intra-process drivers), and how many ranks form one tree
+/// shard. Neither shardRanks nor the executor ever changes the merged bytes
+/// — only the wall clock and the peak working set, which is O(shard + shared
+/// store) when ranks are fed incrementally.
 struct MergeOptions {
   ReductionConfig config;
   std::size_t shardRanks = 64;  ///< Ranks buffered per tree shard (>= 1).
@@ -122,7 +119,7 @@ MergedReducedTrace mergeAcrossRanks(const ReducedTrace& reduced,
 
 /// Config-driven hierarchical merge of a whole reduced trace — bit-identical
 /// to the serial reference under `options.config`'s method/threshold for any
-/// shard size, executor, or thread count.
+/// shard size or executor.
 MergeResult mergeAcrossRanks(const ReducedTrace& reduced, const MergeOptions& options);
 
 /// Incremental hierarchical merger: feed ranks one at a time (in rank order)
@@ -173,7 +170,6 @@ class CrossRankMerger {
   SegmentStore shared_;
   std::unique_ptr<SimilarityPolicy> commitPolicy_;
   DistancePolicy* probePolicy_;  ///< commitPolicy_ when it can probe, else null.
-  std::unique_ptr<ResolvedExecutor> exec_;
   MatchCounters commitBase_;
   MatchCounters probeCounters_;
   std::vector<Rank> rankIds_;

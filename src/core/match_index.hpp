@@ -59,8 +59,6 @@ namespace tracered::core {
 struct MatchCounters {
   std::size_t comparisons = 0;  ///< Stored representatives examined by
                                 ///< tryMatch (reached any per-entry work).
-  std::size_t pruned = 0;       ///< Rejected by a tier-1 norm pre-filter
-                                ///< alone (no full vector walk).
   std::size_t indexVisited = 0;  ///< Entries that survived every index bound
                                  ///< and received the exact comparison.
   std::size_t indexPruned = 0;   ///< Entries the index excluded: outside the
@@ -72,22 +70,14 @@ struct MatchCounters {
 
   void merge(const MatchCounters& other) {
     comparisons += other.comparisons;
-    pruned += other.pruned;
     indexVisited += other.indexVisited;
     indexPruned += other.indexPruned;
     pivotDistEvals += other.pivotDistEvals;
   }
 
-  /// pruned / comparisons; 0 when nothing was scanned.
-  double pruneRate() const {
-    return comparisons == 0
-               ? 0.0
-               : static_cast<double>(pruned) / static_cast<double>(comparisons);
-  }
-
   /// indexPruned / (indexPruned + indexVisited): of all entries the index
   /// decided about, the fraction excluded before any exact comparison.
-  /// 0 when the index never ran (off/cached tiers).
+  /// 0 when the index never ran (e.g. every bucket below activation).
   double indexPruneRate() const {
     const std::size_t decided = indexPruned + indexVisited;
     return decided == 0
@@ -95,14 +85,13 @@ struct MatchCounters {
                : static_cast<double>(indexPruned) / static_cast<double>(decided);
   }
 
-  /// Exact similarity evaluations under the indexed tier: entries that got
-  /// the full comparison plus the distances the index computed itself — the
-  /// number the uncached loop pays once per representative scanned.
+  /// Exact similarity evaluations: entries that got the full comparison plus
+  /// the distances the index computed itself — the number the literal loop
+  /// pays once per representative scanned.
   std::size_t exactEvals() const { return indexVisited + pivotDistEvals; }
 
   friend MatchCounters operator-(MatchCounters a, const MatchCounters& b) {
     a.comparisons -= b.comparisons;
-    a.pruned -= b.pruned;
     a.indexVisited -= b.indexVisited;
     a.indexPruned -= b.indexPruned;
     a.pivotDistEvals -= b.pivotDistEvals;
@@ -322,7 +311,7 @@ class MetricBucketIndex {
 /// for the window-filtered walk, plus the same sorted side array for the
 /// O(log n) empty-window exit. Like MetricBucketIndex's pivot activation,
 /// kActivation is the bucket population below which callers should prefer a
-/// plain window-prefiltered scan — index bookkeeping (hash lookup, sync,
+/// plain scan — index bookkeeping (hash lookup, sync,
 /// binary searches) costs more than it can save on a near-empty bucket.
 class EndIntervalIndex {
  public:

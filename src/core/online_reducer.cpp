@@ -130,7 +130,6 @@ ReductionResult OnlineReducer::finish(const ProgressFn& progress) {
   lastRank_.reset();
 
   const std::size_t numRanks = ranks_.size();
-  ResolvedExecutor exec(config_, numRanks);  // same policy rules as offline
 
   // The map iterates in rank-id order; finishing each slot is independent
   // (per-rank policy and store), so the finishes can run on any worker while
@@ -140,7 +139,8 @@ ReductionResult OnlineReducer::finish(const ProgressFn& progress) {
   for (auto& [rank, pr] : ranks_) reducers.push_back(pr.reducer.get());
 
   std::vector<RankReduced> reducedByIndex(numRanks);
-  exec.shard(
+  runSharded(
+      config_.executor, numRanks,
       [&](std::size_t, std::size_t i) { reducedByIndex[i] = reducers[i]->finish(); },
       progress);
 

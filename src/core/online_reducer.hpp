@@ -82,8 +82,8 @@ class OnlineRankReducer {
 /// reducers, and finish() emits results ordered by rank id.
 class OnlineReducer {
  public:
-  /// Reduces with `config`'s method/threshold; its execution policy governs
-  /// finish(). One policy instance is created per fed rank.
+  /// Reduces with `config`'s method/threshold; its executor runs finish().
+  /// One policy instance is created per fed rank.
   OnlineReducer(const StringTable& names, const ReductionConfig& config);
 
   const ReductionConfig& config() const { return config_; }
@@ -95,9 +95,9 @@ class OnlineReducer {
   /// Feeds a record for `rank`, creating that rank's reducer on first use.
   void feed(Rank rank, const RawRecord& record);
 
-  /// Finishes all fed ranks (sharded per the config's execution policy) and
+  /// Finishes all fed ranks (sharded through the config's executor) and
   /// assembles the reduced trace in rank order. Deterministic for any
-  /// executor or thread count. `progress` observes per-rank completion as in
+  /// executor. `progress` observes per-rank completion as in
   /// the offline driver.
   ReductionResult finish(const ProgressFn& progress = {});
 

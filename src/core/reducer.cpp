@@ -4,12 +4,10 @@
 #include <cstddef>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <utility>
 #include <vector>
 
 #include "util/executor.hpp"
-#include "util/thread_pool.hpp"
 
 namespace tracered::core {
 
@@ -32,38 +30,28 @@ RankOutcome reduceRank(const RankSegments& rank, SimilarityPolicy& policy) {
 
 }  // namespace
 
-ResolvedExecutor::ResolvedExecutor(const ReductionConfig& config,
-                                   std::size_t numItems)
-    : numItems_(numItems), chosen_(config.executor) {
-  if (chosen_ == nullptr) {
-    const std::size_t threads = util::resolveThreads(config.numThreads, numItems);
-    if (threads <= 1) {
-      chosen_ = &serial_;
-    } else {
-      perCall_.emplace(static_cast<int>(threads));
-      chosen_ = &*perCall_;
-    }
-  }
+std::size_t shardWorkers(const util::Executor* executor, std::size_t numItems) {
+  if (executor == nullptr || numItems == 0) return 1;
+  return std::min(executor->concurrency(), numItems);
 }
 
-std::size_t ResolvedExecutor::workers() const {
-  return numItems_ == 0 ? 1 : std::min(chosen_->concurrency(), numItems_);
-}
-
-void ResolvedExecutor::shard(const std::function<void(std::size_t, std::size_t)>& fn,
-                             const ProgressFn& progress) {
-  if (!progress) {
-    chosen_->shard(numItems_, fn);
-    return;
-  }
+void runSharded(util::Executor* executor, std::size_t numItems,
+                const std::function<void(std::size_t, std::size_t)>& fn,
+                const ProgressFn& progress) {
   std::size_t done = 0;
   std::mutex progressMutex;  // count-and-notify atomically, so calls are
                              // serialized and strictly increasing
-  chosen_->shard(numItems_, [&](std::size_t worker, std::size_t i) {
+  const auto item = [&](std::size_t worker, std::size_t i) {
     fn(worker, i);
+    if (!progress) return;
     std::lock_guard<std::mutex> lock(progressMutex);
-    progress(++done, numItems_);
-  });
+    progress(++done, numItems);
+  };
+  if (executor != nullptr) {
+    executor->shard(numItems, item);
+  } else {
+    for (std::size_t i = 0; i < numItems; ++i) item(0, i);
+  }
 }
 
 ReductionResult assembleReduction(const StringTable& names,
@@ -99,7 +87,7 @@ ReductionResult reduceTrace(const SegmentedTrace& segmented, const StringTable& 
 ReductionResult reduceTrace(const SegmentedTrace& segmented, const StringTable& names,
                             const ReductionConfig& config, const ProgressFn& progress) {
   const std::size_t numRanks = segmented.ranks.size();
-  ResolvedExecutor exec(config, numRanks);
+  const std::size_t workers = shardWorkers(config.executor, numRanks);
 
   // One policy instance per worker: policies are stateful per rank and reset
   // via beginRank(), exactly as the serial driver reuses its one policy
@@ -115,14 +103,15 @@ ReductionResult reduceTrace(const SegmentedTrace& segmented, const StringTable& 
   // (or switch such a policy to keying off Segment::rank) before adding one
   // to the Method enum.
   std::vector<std::unique_ptr<SimilarityPolicy>> policies;
-  policies.reserve(exec.workers());
-  for (std::size_t w = 0; w < exec.workers(); ++w)
+  policies.reserve(workers);
+  for (std::size_t w = 0; w < workers; ++w)
     policies.push_back(config.makePolicy());
 
   std::vector<RankReduced> reducedByRank(numRanks);
   std::vector<ReductionStats> statsByRank(numRanks);
   std::vector<MatchCounters> countersByRank(numRanks);
-  exec.shard(
+  runSharded(
+      config.executor, numRanks,
       [&](std::size_t worker, std::size_t i) {
         RankOutcome outcome = reduceRank(segmented.ranks[i], *policies[worker]);
         reducedByRank[i] = std::move(outcome.reduced);

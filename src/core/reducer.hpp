@@ -10,15 +10,14 @@
 // header provides the whole-trace drivers: the policy-level serial
 // `reduceTrace` (one caller-owned policy reused across ranks — the primitive
 // custom policies plug into) and the config-driven driver, which shards
-// ranks according to the ReductionConfig's execution policy (serial, a
-// per-call pool via numThreads, or a caller-owned Executor that amortizes
-// worker spawn/join across calls). Results are assembled in rank order, so
-// every execution policy is bit-identical to serial.
+// ranks through the ReductionConfig's executor (a caller-owned Executor that
+// amortizes worker spawn/join across calls), or runs them inline when it is
+// null. Results are assembled in rank order, so every executor is
+// bit-identical to serial.
 #pragma once
 
 #include <cstddef>
 #include <functional>
-#include <optional>
 #include <vector>
 
 #include "core/methods.hpp"
@@ -42,43 +41,25 @@ struct ReductionResult {
 };
 
 /// Observer for long reductions: called after each rank completes with
-/// (ranksCompleted, ranksTotal). Under a parallel execution policy the calls
+/// (ranksCompleted, ranksTotal). Under a parallel executor the calls
 /// come from worker threads but are serialized (never concurrent), and
 /// ranksCompleted is strictly increasing; completion ORDER across ranks is
 /// scheduling-dependent even though the result never is.
 using ProgressFn = std::function<void(std::size_t, std::size_t)>;
 
-/// Resolves a ReductionConfig's execution policy for one driver call — the
-/// ONE place the policy rules live, so the offline and online drivers can
-/// never diverge: a caller-owned `config.executor` wins (amortized pool);
-/// otherwise `numThreads` selects serial inline (<= 1 after clamping to the
-/// item count) or a pool owned by this resolver, i.e. per call (the
-/// compatibility cost model).
-class ResolvedExecutor {
- public:
-  ResolvedExecutor(const ReductionConfig& config, std::size_t numItems);
+/// Workers runSharded(executor, numItems, ...) may use: min(executor
+/// concurrency, numItems), 1 when `executor` is null or there are no items.
+/// Size per-worker state (e.g. one SimilarityPolicy per worker) with this.
+std::size_t shardWorkers(const util::Executor* executor, std::size_t numItems);
 
-  /// Workers shard() may use: min(executor concurrency, numItems), >= 1.
-  /// Size per-worker state (e.g. one SimilarityPolicy per worker) with this.
-  std::size_t workers() const;
-
-  /// Shards [0, numItems) through the resolved executor; if `progress` is
-  /// set, reports (itemsCompleted, numItems) after each item, serialized
-  /// and strictly increasing.
-  void shard(const std::function<void(std::size_t, std::size_t)>& fn,
-             const ProgressFn& progress = {});
-
-  /// The resolved executor, for a caller that shards many batches of at
-  /// most numItems items through one resolution (the cross-rank merger
-  /// resolves once and shards every tree shard through it).
-  util::Executor& executor() { return *chosen_; }
-
- private:
-  std::size_t numItems_;
-  util::SerialExecutor serial_;
-  std::optional<util::PooledExecutor> perCall_;
-  util::Executor* chosen_;
-};
+/// Runs `fn(workerIndex, itemIndex)` for every item in [0, numItems) through
+/// `executor`, or inline on the calling thread when it is null — the one
+/// place the drivers (offline, online, cross-rank) shard, so they can never
+/// diverge. If `progress` is set, reports (itemsCompleted, numItems) after
+/// each item, serialized and strictly increasing.
+void runSharded(util::Executor* executor, std::size_t numItems,
+                const std::function<void(std::size_t, std::size_t)>& fn,
+                const ProgressFn& progress = {});
 
 /// Assembles a whole-trace result from per-rank pieces (already in rank
 /// order), interning `names` and merging stats and counters. Shared by the
@@ -94,9 +75,9 @@ ReductionResult reduceTrace(const SegmentedTrace& segmented, const StringTable& 
                             SimilarityPolicy& policy);
 
 /// Reduces `segmented` per `config`: the configured method/threshold,
-/// sharded across ranks by the configured execution policy (one policy
+/// sharded across ranks through the configured executor (one policy
 /// instance per worker). Deterministic: bit-identical to the serial
-/// policy-level overload for any executor or thread count.
+/// policy-level overload for any executor.
 ReductionResult reduceTrace(const SegmentedTrace& segmented, const StringTable& names,
                             const ReductionConfig& config,
                             const ProgressFn& progress = {});

@@ -51,9 +51,7 @@ std::string ReductionConfig::toString() const {
 }
 
 std::unique_ptr<SimilarityPolicy> ReductionConfig::makePolicy() const {
-  std::unique_ptr<SimilarityPolicy> policy = core::makePolicy(method, threshold);
-  policy->setAccelerationTier(acceleration);
-  return policy;
+  return core::makePolicy(method, threshold);
 }
 
 ReductionConfig ReductionConfig::withExecutor(util::Executor& exec) const {

@@ -1,9 +1,9 @@
 // The one value type describing a reduction run: which similarity method,
-// at what threshold, executed how. Every driver (offline reduceTrace, the
-// streaming OnlineReducer, eval::evaluateMethod, ReductionSession) takes a
-// ReductionConfig instead of re-plumbing its own (Method, double, options)
-// triple, and sweeps can serialize configs through fromName()/toString()
-// ("avgWave@0.2" style) for CLIs and logs.
+// at what threshold, and on which executor. Every driver (offline
+// reduceTrace, the streaming OnlineReducer, eval::evaluateMethod,
+// ReductionSession) takes a ReductionConfig instead of re-plumbing its own
+// (Method, double, options) triple, and sweeps can serialize configs through
+// fromName()/toString() ("avgWave@0.2" style) for CLIs and logs.
 #pragma once
 
 #include <memory>
@@ -18,27 +18,19 @@ class Executor;
 
 namespace tracered::core {
 
-/// Method + threshold + execution policy for one reduction. Aggregate:
+/// Method + threshold + executor for one reduction. Aggregate:
 /// `{Method::kAvgWave, 0.2}` is a serial config; designated initializers
 /// select an executor (`{.method = m, .threshold = t, .executor = &pool}`).
 ///
-/// Execution policy resolution (used identically by every driver):
-///   * `executor` non-null -> shard ranks through it (non-owning; the caller
-///     keeps it alive, typically one PooledExecutor per sweep so worker
-///     spawn/join is amortized across calls).
-///   * otherwise `numThreads` -> 1 = serial inline, 0 or negative = hardware
-///     concurrency, else that many workers — via the pool-per-call
-///     compatibility shim.
-/// The execution policy never affects the result, only the wall clock.
+/// Only method and threshold change the output. `executor` (non-owning; the
+/// caller keeps it alive, typically one PooledExecutor per sweep so worker
+/// spawn/join is amortized across calls) shards ranks across workers; null
+/// runs every rank inline on the calling thread. Every driver resolves it the
+/// same way, and the result is bit-identical either way.
 struct ReductionConfig {
   Method method = Method::kRelDiff;
   double threshold = 0.8;  // defaultThreshold(kRelDiff)
-  int numThreads = 1;
   util::Executor* executor = nullptr;
-  /// Matching fast path handed to makePolicy(). Every tier produces
-  /// bit-identical results (tested); kOff/kCached exist for benchmarking the
-  /// tiers against each other and for identity tests.
-  AccelerationTier acceleration = AccelerationTier::kIndexed;
 
   /// Config at the paper's default ("best") threshold for `m`.
   static ReductionConfig defaults(Method m);

@@ -29,8 +29,6 @@ ReportRows reductionReportRows(const ReductionConfig& config,
 ReportRows matchCounterRows(const MatchCounters& counters, const std::string& prefix) {
   ReportRows rows;
   rows.emplace_back(prefix + "reps scanned", std::to_string(counters.comparisons));
-  rows.emplace_back(prefix + "pruned by pre-filter", std::to_string(counters.pruned));
-  rows.emplace_back(prefix + "prune rate", fmtPct(100.0 * counters.pruneRate()));
   rows.emplace_back(prefix + "reps visited (exact)", std::to_string(counters.indexVisited));
   rows.emplace_back(prefix + "index pruned", std::to_string(counters.indexPruned));
   rows.emplace_back(prefix + "index prune rate", fmtPct(100.0 * counters.indexPruneRate()));

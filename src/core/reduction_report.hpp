@@ -31,7 +31,7 @@ ReportRows reductionReportRows(const ReductionConfig& config,
                                std::size_t fullBytes);
 
 /// The matching-cost instrumentation rows behind `--stats`: representatives
-/// scanned / pre-filter prunes / index behavior (docs/CLI.md documents each).
+/// scanned / index behavior (docs/CLI.md documents each).
 /// `prefix` labels the rows ("merge " for the merge stage's counters, so they
 /// never collide with the reduction's own rows in one table).
 ReportRows matchCounterRows(const MatchCounters& counters, const std::string& prefix = "");

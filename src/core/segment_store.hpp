@@ -20,14 +20,12 @@ namespace tracered::core {
 /// every comparison the segment participates in (candidate side: once per
 /// consume(); stored side: once per representative via FeatureCache).
 struct SegmentFeatures {
-  std::vector<double> vec;  ///< Method-specific feature vector (empty for the
-                            ///< element-wise methods, which walk the segments
-                            ///< directly in the full test).
-  double norm = 0.0;        ///< Method-specific pruning norm (L1/L2/L-inf of
-                            ///< `vec`, or the element-wise pre-filter bound).
-  double maxAbs = 0.0;      ///< Vector methods: largest |measurement| — the
-                            ///< Eq. 1 denominator. Element-wise methods: the
-                            ///< |segment end| (their O(1) pre-filter input).
+  std::vector<double> vec;  ///< Method-specific feature vector (the metric
+                            ///< methods only; the element-wise methods walk
+                            ///< the segments directly in the full test).
+  double norm = 0.0;        ///< Pruning norm: L1/L2/L-inf of `vec`.
+  double maxAbs = 0.0;      ///< Largest |measurement| — the Eq. 1
+                            ///< denominator.
 };
 
 /// Stored-side cache of SegmentFeatures, indexed by SegmentId (dense, store

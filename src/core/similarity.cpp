@@ -44,12 +44,11 @@ void DistancePolicy::sync(const Segment& candidate, const SegmentStore& store) {
 std::optional<SegmentId> DistancePolicy::query(const Segment& candidate,
                                                const SegmentStore& store,
                                                MatchCounters& counters) const {
-  if (tier_ != AccelerationTier::kOff &&
-      (boundStore_ != &store || boundGeneration_ != store.generation()))
+  if (boundStore_ != &store || boundGeneration_ != store.generation())
     throw std::logic_error(name() + ": query on a store the policy is not synced to");
   const std::uint64_t signature = candidate.signature();
   SyncedBucket bucket{store.bucket(signature)};
-  if (tier_ == AccelerationTier::kIndexed && !bucket.ids.empty()) {
+  if (!bucket.ids.empty()) {
     // The index must hold every bucket entry: one that missed the last sync
     // would silently never be compared.
     const auto synced = [&](const auto& index, const auto& map) {
@@ -70,27 +69,23 @@ DistancePolicy::SyncedBucket DistancePolicy::syncBucket(std::uint64_t signature,
   // Bind before the empty-bucket return: onStored fires for this store even
   // when the candidate found nothing to compare against, and the cache it
   // writes must not mix id spaces.
-  if (tier_ != AccelerationTier::kOff) bindStore(store);
+  bindStore(store);
   SyncedBucket bucket{store.bucket(signature)};
-  if (bucket.ids.empty() || tier_ == AccelerationTier::kOff) return bucket;
+  if (bucket.ids.empty()) return bucket;
 
-  const auto featuresOf = [&](SegmentId id) -> const SegmentFeatures& {
-    return cache_.getOrCompute(id, [&] { return features(store.segment(id)); });
-  };
   if (indexKind() == IndexKind::kEndInterval) {
     // Element-wise methods prepare nothing per entry; the index serves only
     // buckets at its activation population.
-    if (tier_ == AccelerationTier::kCached ||
-        bucket.ids.size() < EndIntervalIndex::kActivation)
-      return bucket;
+    if (bucket.ids.size() < EndIntervalIndex::kActivation) return bucket;
     EndIntervalIndex& index = endIndex_[signature];
     index.sync(bucket.ids, [&](SegmentId id) { return endKey(store.segment(id)); });
     bucket.end = &index;
-  } else if (tier_ == AccelerationTier::kCached) {
-    for (SegmentId id : bucket.ids) featuresOf(id);
   } else {
     MetricBucketIndex& index = metricIndex_[signature];
-    index.sync(bucket.ids, featuresOf,
+    index.sync(bucket.ids,
+               [&](SegmentId id) -> const SegmentFeatures& {
+                 return cache_.getOrCompute(id, [&] { return features(store.segment(id)); });
+               },
                [this](const SegmentFeatures& fa, const SegmentFeatures& fb) {
                  return indexDistance(fa, fb);
                },
@@ -104,73 +99,31 @@ std::optional<SegmentId> DistancePolicy::queryBucket(const Segment& candidate,
                                                      const SegmentStore& store,
                                                      const SyncedBucket& bucket,
                                                      MatchCounters& counters) const {
-  if (bucket.ids.empty()) return std::nullopt;
-  switch (tier_) {
-    case AccelerationTier::kOff: {
-      // The literal Sec. 3.1 loop: recompute any derived data per pair.
-      for (SegmentId id : bucket.ids) {
+  const std::vector<SegmentId>& ids = bucket.ids;
+  if (ids.empty()) return std::nullopt;
+  if (indexKind() == IndexKind::kEndInterval) {
+    // Store-order walk over the entries `admits` keeps — the Sec. 3.1 loop's
+    // first-match short-circuit, minus the entries the end window excludes.
+    // `visits` counts the survivors as index decisions.
+    const auto walk = [&](auto admits, bool visits) -> std::optional<SegmentId> {
+      for (std::size_t i = 0; i < ids.size(); ++i) {
+        if (!admits(i)) {
+          ++counters.indexPruned;
+          continue;
+        }
         ++counters.comparisons;
-        const Segment& stored = store.segment(id);
+        const Segment& stored = store.segment(ids[i]);
         if (!candidate.compatible(stored)) continue;  // signature collision guard
-        if (similar(candidate, stored)) return id;
+        if (visits) ++counters.indexVisited;
+        if (similar(candidate, stored)) return ids[i];
       }
       return std::nullopt;
-    }
-    case AccelerationTier::kCached:
-      return queryCached(candidate, store, bucket.ids, counters);
-    case AccelerationTier::kIndexed:
-      return queryIndexed(candidate, store, bucket, counters);
-  }
-  return std::nullopt;
-}
-
-std::optional<SegmentId> DistancePolicy::queryCached(
-    const Segment& candidate, const SegmentStore& store,
-    const std::vector<SegmentId>& bucket, MatchCounters& counters) const {
-  if (indexKind() == IndexKind::kEndInterval) {
-    // Element-wise methods: there is nothing worth preparing per pair — the
-    // only derivable datum is the O(1) segment end, and the end pair is
-    // already one conjunct of similar()'s short-circuiting walk, so any
-    // per-entry pre-filter just repeats it. The scan IS the base loop; the
-    // end-window arithmetic only pays off in the indexed tier, where the
-    // sorted side array amortizes it across the whole bucket.
-    for (SegmentId id : bucket) {
-      ++counters.comparisons;
-      const Segment& stored = store.segment(id);
-      if (!candidate.compatible(stored)) continue;
-      if (similar(candidate, stored)) return id;
-    }
-    return std::nullopt;
-  }
-
-  // Metric methods: candidate features once per consume(), stored features
-  // from the cache, norm pre-filter before any full vector walk. Scan order
-  // and the first accepted id are identical to the uncached path.
-  const SegmentFeatures fc = features(candidate);
-  for (SegmentId id : bucket) {
-    ++counters.comparisons;
-    const Segment& stored = store.segment(id);
-    if (!candidate.compatible(stored)) continue;
-    const SegmentFeatures& fs = cache_.get(id);
-    if (prefilterRejects(fc, fs)) {
-      ++counters.pruned;
-      continue;
-    }
-    if (similarPrepared(candidate, fc, stored, fs)) return id;
-  }
-  return std::nullopt;
-}
-
-std::optional<SegmentId> DistancePolicy::queryIndexed(const Segment& candidate,
-                                                      const SegmentStore& store,
-                                                      const SyncedBucket& bucket,
-                                                      MatchCounters& counters) const {
-  const std::vector<SegmentId>& ids = bucket.ids;
-  if (indexKind() == IndexKind::kEndInterval) {
+    };
+    const auto all = [](std::size_t) { return true; };
     // Below the activation population the index cannot recoup its own
-    // bookkeeping — run the cached tier's lean window-prefiltered scan.
-    // Buckets only grow, so the switchover happens once per bucket.
-    if (bucket.end == nullptr) return queryCached(candidate, store, ids, counters);
+    // bookkeeping — run the plain scan. Buckets only grow, so the switchover
+    // happens once per bucket.
+    if (bucket.end == nullptr) return walk(all, false);
     const EndIntervalIndex& index = *bucket.end;
 
     const KeyWindow window = admissibleEndWindow(endKey(candidate));
@@ -178,32 +131,10 @@ std::optional<SegmentId> DistancePolicy::queryIndexed(const Segment& candidate,
       counters.indexPruned += index.entries();
       return std::nullopt;
     }
-    if (index.coversAll(window)) {
-      // The window admits every stored end — per-entry checks would all
-      // pass, so run the plain scan (same result, same counters).
-      for (SegmentId id : ids) {
-        ++counters.comparisons;
-        const Segment& stored = store.segment(id);
-        if (!candidate.compatible(stored)) continue;
-        ++counters.indexVisited;
-        if (similar(candidate, stored)) return id;
-      }
-      return std::nullopt;
-    }
-    // Store-order walk with the O(1) window check — the Sec. 3.1 loop's
-    // first-match short-circuit, minus the entries the window excludes.
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      if (!window.contains(index.keyAt(i))) {
-        ++counters.indexPruned;
-        continue;
-      }
-      ++counters.comparisons;
-      const Segment& stored = store.segment(ids[i]);
-      if (!candidate.compatible(stored)) continue;
-      ++counters.indexVisited;
-      if (similar(candidate, stored)) return ids[i];
-    }
-    return std::nullopt;
+    // A window that admits every stored end skips the per-entry checks
+    // (same result, same counters).
+    if (index.coversAll(window)) return walk(all, true);
+    return walk([&](std::size_t i) { return window.contains(index.keyAt(i)); }, true);
   }
 
   const auto featuresOf = [&](SegmentId id) -> const SegmentFeatures& {
@@ -235,7 +166,6 @@ double DistancePolicy::indexDistance(const SegmentFeatures& fa,
 void DistancePolicy::onStored(const Segment& segment, SegmentId id) {
   // Element-wise methods derive everything O(1) from the segment itself; only
   // the metric methods bank features (vector + norms) for the stored side.
-  if (tier_ == AccelerationTier::kOff) return;
   if (indexKind() == IndexKind::kMetricPivot) cache_.put(id, features(segment));
 }
 
@@ -348,16 +278,6 @@ SegmentFeatures MinkowskiPolicy::features(const Segment& s) const {
   return f;
 }
 
-bool MinkowskiPolicy::prefilterRejects(const SegmentFeatures& fa,
-                                       const SegmentFeatures& fb) const {
-  // Reverse triangle inequality: dist_p(a, b) >= |‖a‖_p - ‖b‖_p| for every
-  // order, so a norm gap beyond the Eq. 1 bound rejects without touching
-  // the vectors.
-  return provablyExceeds(std::fabs(fa.norm - fb.norm),
-                         threshold_ * std::max(fa.maxAbs, fb.maxAbs),
-                         fa.norm + fb.norm);
-}
-
 bool MinkowskiPolicy::similarPrepared(const Segment&, const SegmentFeatures& fa,
                                       const Segment&, const SegmentFeatures& fb) const {
   const double dist = distance(order_, fa.vec, fb.vec);
@@ -392,13 +312,6 @@ SegmentFeatures WaveletPolicy::features(const Segment& s) const {
   return f;
 }
 
-bool WaveletPolicy::prefilterRejects(const SegmentFeatures& fa,
-                                     const SegmentFeatures& fb) const {
-  return provablyExceeds(std::fabs(fa.norm - fb.norm),
-                         threshold_ * std::max(fa.maxAbs, fb.maxAbs),
-                         fa.norm + fb.norm);
-}
-
 bool WaveletPolicy::similarPrepared(const Segment&, const SegmentFeatures& fa,
                                     const Segment&, const SegmentFeatures& fb) const {
   const double dist = wavelet::euclideanDistance(fa.vec, fb.vec);
@@ -429,23 +342,6 @@ std::optional<SegmentId> IterKPolicy::tryMatch(const Segment& candidate,
                                                SegmentStore& store) {
   const std::uint64_t signature = candidate.signature();
   const auto& bucket = store.bucket(signature);
-
-  if (tier_ != AccelerationTier::kIndexed) {
-    // The literal counting loop: iter_k needs the number of compatible
-    // representatives, and has no features to cache — the off and cached
-    // tiers coincide.
-    int compatibleCount = 0;
-    SegmentId last = 0;
-    for (SegmentId id : bucket) {
-      ++counters_.comparisons;
-      if (candidate.compatible(store.segment(id))) {
-        ++compatibleCount;
-        last = id;
-      }
-    }
-    if (compatibleCount < k_) return std::nullopt;  // still collecting
-    return last;  // footnote 1: fill with the last collected segment
-  }
 
   if (boundStore_ != &store || boundGeneration_ != store.generation()) {
     classIndex_.clear();

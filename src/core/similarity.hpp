@@ -8,34 +8,21 @@
 // matches once k representatives exist; iter_avg always matches and folds
 // the new measurements into a running average).
 //
-// The matching hot path has three acceleration tiers (see the README's
-// "Accelerated matching" section for the bound derivations, and
-// core/match_index.hpp for the index structures):
+// The matching hot path is indexed (see the README's "Accelerated matching"
+// section for the bound derivations, and core/match_index.hpp for the index
+// structures): a per-bucket metric pivot index (norm-sorted entries +
+// triangle-inequality pivot bounds) for the metric methods, an exact
+// end-measurement interval index for relDiff/absDiff, and a
+// compatibility-class count index for iter_k, each queried instead of
+// scanning every stored representative. Each index engages per bucket at its
+// own activation size (EndIntervalIndex::kActivation,
+// MetricBucketIndex::kPivotActivation); smaller buckets take a plain scan.
 //
-//   kOff     — the literal uncached Sec. 3.1 loop, recomputing any derived
-//              data per pair. Kept for benchmarking and identity tests.
-//   kCached  — per-segment features (measurement/coefficient vector, pruning
-//              norm, largest measurement) derived ONCE per candidate and
-//              cached per stored representative in a FeatureCache populated
-//              via onStored, with a conservative norm pre-filter (reverse
-//              triangle inequality against the Eq. 1 acceptance bound)
-//              rejecting provably-dissimilar pairs before any full vector
-//              walk. The element-wise methods (relDiff/absDiff), whose
-//              policies use neither a feature vector nor a pruning norm,
-//              skip the feature machinery entirely — their scan IS the base
-//              loop, so acceleration is never a net loss on short-vector
-//              workloads.
-//   kIndexed — the default: a per-bucket metric pivot index (norm-sorted
-//              entries + triangle-inequality pivot bounds) for the metric
-//              methods, an exact end-measurement interval index for
-//              relDiff/absDiff, and a compatibility-class count index for
-//              iter_k, each queried instead of scanning every stored
-//              representative.
-//
-// Every tier visits the surviving candidates in store order and decides each
+// The index visits the surviving candidates in store order and decides each
 // with the exact comparison, so first-match semantics — and therefore the
-// entire reduction output — are bit-identical across tiers by construction
-// (tested on every method × every registered workload).
+// entire reduction output — are bit-identical to the literal Sec. 3.1 loop by
+// construction (tested against a reference policy on every method × every
+// registered workload).
 #pragma once
 
 #include <cstddef>
@@ -51,10 +38,6 @@
 #include "trace/segment.hpp"
 
 namespace tracered::core {
-
-/// Matching fast-path selection; see the tier descriptions above. Results
-/// are bit-identical for every tier; only the wall clock differs.
-enum class AccelerationTier { kOff, kCached, kIndexed };
 
 /// Interface the reducer drives. Policies are stateful per reduction run and
 /// are reset per rank (reduction is intra-process; Sec. 3).
@@ -85,26 +68,11 @@ class SimilarityPolicy {
   /// are finalized into the reduced trace (iter_avg writes back averages).
   virtual void finishRank(SegmentStore& store) { (void)store; }
 
-  /// Selects the matching fast path (kIndexed by default). Results are
-  /// bit-identical for every tier (tested), so this exists for benchmarking
-  /// the tiers against each other and for identity tests. Flip before
-  /// feeding candidates.
-  void setAccelerationTier(AccelerationTier tier) { tier_ = tier; }
-  AccelerationTier accelerationTier() const { return tier_; }
-
-  /// Compatibility switch: on = the default indexed tier, off = the literal
-  /// uncached Sec. 3.1 loop.
-  void setAcceleration(bool on) {
-    tier_ = on ? AccelerationTier::kIndexed : AccelerationTier::kOff;
-  }
-  bool accelerationEnabled() const { return tier_ != AccelerationTier::kOff; }
-
   /// Cumulative instrumentation over this policy's lifetime (never reset by
   /// beginRank; consumers diff snapshots, see RankReductionEngine).
   const MatchCounters& matchCounters() const { return counters_; }
 
  protected:
-  AccelerationTier tier_ = AccelerationTier::kIndexed;
   MatchCounters counters_;
 };
 
@@ -114,19 +82,17 @@ class SimilarityPolicy {
 /// (context/length/id compatibility is checked via the signature bucket plus
 /// an explicit `compatible` guard).
 ///
-/// The cached tier computes the candidate's features once per tryMatch,
-/// reads stored features from the FeatureCache (populated in onStored,
-/// filled by sync for representatives added behind the policy's back), and
-/// runs `prefilterRejects` — which may only reject pairs the full test would
-/// provably reject — before `similarPrepared`. The indexed tier additionally
-/// keeps a per-bucket MetricBucketIndex (metric methods) or
-/// EndIntervalIndex (element-wise methods), synced lazily against the
-/// store's bucket, and visits only the candidates the index admits. The
-/// first accepted id is identical in every tier.
+/// The metric methods compute the candidate's features once per tryMatch and
+/// read stored features from the FeatureCache (populated in onStored, filled
+/// by sync for representatives added behind the policy's back). Each bucket
+/// keeps a MetricBucketIndex (metric methods) or EndIntervalIndex
+/// (element-wise methods), synced lazily against the store's bucket, and
+/// only the candidates the index admits are visited. The first accepted id
+/// is the literal loop's.
 ///
 /// Matching is two steps: `sync` (mutable: bind the store, fill the cache,
 /// fold new bucket entries into the bucket's index) and `query` (const: the
-/// tier logic against the synced state). tryMatch is sync + query over one
+/// index lookup against the synced state). tryMatch is sync + query over one
 /// index lookup; the cross-rank merger syncs a shard's buckets serially and
 /// then queries them from many threads at once.
 class DistancePolicy : public SimilarityPolicy {
@@ -151,8 +117,12 @@ class DistancePolicy : public SimilarityPolicy {
   std::optional<SegmentId> query(const Segment& candidate, const SegmentStore& store,
                                  MatchCounters& counters) const;
 
+  /// The ≈ test between two compatible segments — the literal slow path,
+  /// recomputing any derived data per pair.
+  virtual bool similar(const Segment& a, const Segment& b) const = 0;
+
  protected:
-  /// Which indexed-tier structure serves this method.
+  /// Which index structure serves this method.
   enum class IndexKind {
     kMetricPivot,  ///< Eq. 1 acceptance over a true metric: norm window +
                    ///< pivot bounds (Minkowski and wavelet methods).
@@ -161,25 +131,10 @@ class DistancePolicy : public SimilarityPolicy {
   };
   virtual IndexKind indexKind() const = 0;
 
-  /// The ≈ test between two compatible segments — the uncached slow path,
-  /// recomputing any derived data per pair.
-  virtual bool similar(const Segment& a, const Segment& b) const = 0;
-
   /// kMetricPivot only: derived features of one segment (vector + norms) for
-  /// the cached and indexed fast paths. The element-wise methods never
-  /// prepare features — their only derivable datum is the O(1) segment end,
-  /// read directly by their tiers.
+  /// the index. The element-wise methods never prepare features — their only
+  /// derivable datum is the O(1) segment end, read directly by their index.
   virtual SegmentFeatures features(const Segment& s) const;
-
-  /// Conservative pre-filter: may return true ONLY when (fa, fb) provably
-  /// fails `similar` (implementations keep a floating-point safety margin so
-  /// rounding can never reject a pair the full test would accept).
-  virtual bool prefilterRejects(const SegmentFeatures& fa,
-                                const SegmentFeatures& fb) const {
-    (void)fa;
-    (void)fb;
-    return false;
-  }
 
   /// The ≈ test with both sides' features already prepared. Must be
   /// arithmetically identical to `similar`. Defaults to ignoring the
@@ -206,8 +161,8 @@ class DistancePolicy : public SimilarityPolicy {
   virtual KeyWindow admissibleEndWindow(double candEnd) const;
 
  private:
-  /// One bucket as sync left it: its ids plus, in the indexed tier, the
-  /// index serving it (null while the bucket is below activation).
+  /// One bucket as sync left it: its ids plus the index serving it (null
+  /// while the bucket is below activation).
   struct SyncedBucket {
     const std::vector<SegmentId>& ids;
     const MetricBucketIndex* metric = nullptr;
@@ -219,14 +174,6 @@ class DistancePolicy : public SimilarityPolicy {
                                        const SegmentStore& store,
                                        const SyncedBucket& bucket,
                                        MatchCounters& counters) const;
-  std::optional<SegmentId> queryCached(const Segment& candidate,
-                                       const SegmentStore& store,
-                                       const std::vector<SegmentId>& bucket,
-                                       MatchCounters& counters) const;
-  std::optional<SegmentId> queryIndexed(const Segment& candidate,
-                                        const SegmentStore& store,
-                                        const SyncedBucket& bucket,
-                                        MatchCounters& counters) const;
 
   /// pairDistance for the index: NaN for vectors of different lengths
   /// (signature collisions), so no pivot bound prunes on them.
@@ -303,8 +250,6 @@ class MinkowskiPolicy final : public DistancePolicy {
   IndexKind indexKind() const override { return IndexKind::kMetricPivot; }
   bool similar(const Segment& a, const Segment& b) const override;
   SegmentFeatures features(const Segment& s) const override;
-  bool prefilterRejects(const SegmentFeatures& fa,
-                        const SegmentFeatures& fb) const override;
   bool similarPrepared(const Segment& a, const SegmentFeatures& fa,
                        const Segment& b, const SegmentFeatures& fb) const override;
   double pairDistance(const SegmentFeatures& fa,
@@ -335,8 +280,6 @@ class WaveletPolicy final : public DistancePolicy {
   IndexKind indexKind() const override { return IndexKind::kMetricPivot; }
   bool similar(const Segment& a, const Segment& b) const override;
   SegmentFeatures features(const Segment& s) const override;
-  bool prefilterRejects(const SegmentFeatures& fa,
-                        const SegmentFeatures& fb) const override;
   bool similarPrepared(const Segment& a, const SegmentFeatures& fa,
                        const Segment& b, const SegmentFeatures& fb) const override;
   double pairDistance(const SegmentFeatures& fa,
@@ -353,9 +296,8 @@ class WaveletPolicy final : public DistancePolicy {
 /// against the *last* stored representative so reconstruction fills gaps
 /// with the most recent collected segment.
 ///
-/// Accelerated tryMatch answers from a per-bucket CompatClassIndex (count +
-/// last member per compatibility class) instead of re-scanning the bucket;
-/// the uncached tier keeps the literal counting loop.
+/// tryMatch answers from a per-bucket CompatClassIndex (count + last member
+/// per compatibility class) instead of re-scanning the bucket.
 class IterKPolicy final : public SimilarityPolicy {
  public:
   /// Throws std::invalid_argument when k < 1 (k <= 0 would "match" against

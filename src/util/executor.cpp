@@ -10,9 +10,9 @@ void SerialExecutor::shard(std::size_t n,
   for (std::size_t i = 0; i < n; ++i) fn(0, i);
 }
 
-PooledExecutor::PooledExecutor(int numThreads)
-    : threads_(numThreads <= 0 ? ThreadPool::hardwareThreads()
-                               : static_cast<std::size_t>(numThreads)) {}
+PooledExecutor::PooledExecutor(int threads)
+    : threads_(threads <= 0 ? ThreadPool::hardwareThreads()
+                            : static_cast<std::size_t>(threads)) {}
 
 PooledExecutor::~PooledExecutor() = default;
 
@@ -39,11 +39,6 @@ void PooledExecutor::shard(std::size_t n,
   runOnWorkers(pool, workers, [&](std::size_t w) {
     for (std::size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) fn(w, i);
   });
-}
-
-void parallelShard(Executor& executor, std::size_t n,
-                   const std::function<void(std::size_t, std::size_t)>& fn) {
-  executor.shard(n, fn);
 }
 
 }  // namespace tracered::util

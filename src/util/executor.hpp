@@ -6,8 +6,7 @@
 // workers": SerialExecutor runs inline, PooledExecutor owns one lazily
 // started ThreadPool that is REUSED across shard() calls, so a caller that
 // keeps a PooledExecutor alive for a whole sweep amortizes worker churn to a
-// single spawn/join. The legacy pool-per-call `parallelShard(threads, ...)`
-// in thread_pool.hpp remains as a compatibility shim.
+// single spawn/join. ReductionConfig::executor takes either (null = inline).
 #pragma once
 
 #include <cstddef>
@@ -54,8 +53,8 @@ class SerialExecutor final : public Executor {
 /// indices); that matches the drivers, which shard from the calling thread.
 class PooledExecutor final : public Executor {
  public:
-  /// `numThreads` <= 0 selects hardware concurrency.
-  explicit PooledExecutor(int numThreads = 0);
+  /// `threads` <= 0 selects hardware concurrency.
+  explicit PooledExecutor(int threads = 0);
   ~PooledExecutor() override;
 
   std::size_t concurrency() const override { return threads_; }
@@ -73,11 +72,5 @@ class PooledExecutor final : public Executor {
   mutable std::mutex mutex_;  ///< guards lazy pool_ creation
   std::unique_ptr<ThreadPool> pool_;
 };
-
-/// Executor-taking overload of parallelShard: shards [0, n) through
-/// `executor` (the amortized path; the thread-count overload in
-/// thread_pool.hpp is the pool-per-call compatibility shim).
-void parallelShard(Executor& executor, std::size_t n,
-                   const std::function<void(std::size_t, std::size_t)>& fn);
 
 }  // namespace tracered::util

@@ -1,4 +1,5 @@
-// Minimal fixed-size thread pool for rank-sharded work.
+// Minimal fixed-size thread pool for rank-sharded work, owned by
+// PooledExecutor (util/executor.hpp), through which every driver shards.
 //
 // Reduction is embarrassingly parallel across ranks (each rank has its own
 // store and policy), so the pool only needs to run a handful of worker
@@ -20,8 +21,8 @@ namespace tracered::util {
 
 class ThreadPool {
  public:
-  /// Spawns `numThreads` workers (clamped to at least 1).
-  explicit ThreadPool(std::size_t numThreads);
+  /// Spawns `threads` workers (clamped to at least 1).
+  explicit ThreadPool(std::size_t threads);
 
   /// Drains pending tasks and joins all workers.
   ~ThreadPool();
@@ -54,21 +55,5 @@ class ThreadPool {
 /// per-worker state (e.g. one SimilarityPolicy instance per worker).
 void runOnWorkers(ThreadPool& pool, std::size_t numWorkers,
                   const std::function<void(std::size_t)>& fn);
-
-/// Resolves a ReductionConfig-style thread-count option: <= 0 means hardware
-/// concurrency, and the result never exceeds `numItems` (a worker per item
-/// is the most parallelism sharding can use). Returns 0 when numItems is 0.
-std::size_t resolveThreads(int numThreadsOption, std::size_t numItems);
-
-/// Compatibility shim: shards item indices [0, n) dynamically across
-/// `threads` workers spawned FOR THIS CALL, calling `fn(workerIndex,
-/// itemIndex)` for each item exactly once; waits for all items and rethrows
-/// the first exception. threads <= 1 runs inline with workerIndex 0. Callers
-/// write results to per-item slots, so the assembly order (and thus the
-/// output) is independent of scheduling. New code should prefer the
-/// executor-taking overload in executor.hpp — a caller-owned PooledExecutor
-/// amortizes the worker spawn/join this shim pays on every call.
-void parallelShard(std::size_t threads, std::size_t n,
-                   const std::function<void(std::size_t, std::size_t)>& fn);
 
 }  // namespace tracered::util

@@ -97,13 +97,6 @@ TEST(PooledExecutor, PropagatesExceptionsAndStaysUsable) {
   EXPECT_EQ(runs.load(), 4);
 }
 
-TEST(ParallelShard, ExecutorOverloadDelegates) {
-  PooledExecutor exec(2);
-  std::atomic<int> runs{0};
-  parallelShard(exec, 6, [&](std::size_t, std::size_t) { runs.fetch_add(1); });
-  EXPECT_EQ(runs.load(), 6);
-}
-
 // --- executor reuse across reductions ---------------------------------------
 
 const Trace& sharedTrace() {

@@ -357,7 +357,6 @@ TEST(CompatClassIndex, FoldsEquivalenceClassesAndTracksCountAndLast) {
 TEST(MatchCounters, IndexFieldsMergeDiffAndRates) {
   MatchCounters a;
   a.comparisons = 10;
-  a.pruned = 2;
   a.indexVisited = 3;
   a.indexPruned = 9;
   a.pivotDistEvals = 4;

@@ -1,7 +1,7 @@
-// The matching fast paths against the literal uncached Sec. 3.1 loop:
-// bit-identical results for every acceleration tier (off / cached /
-// indexed) on every method on every registered workload (iterated from
-// eval::allWorkloads(), so the paper's 18 programs AND every scenario), the
+// The indexed matcher against the literal Sec. 3.1 loop (ReferencePolicy
+// below): bit-identical results on every method on every registered workload
+// (iterated from eval::allWorkloads(), so the paper's 18 programs AND every
+// scenario), the
 // exec-id range property that catches dangling-representative bugs (iter_k
 // with k <= 0 used to emit execs against SegmentId 0 of an empty store),
 // counter determinism across the serial / parallel / pooled / online /
@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
+#include <optional>
 #include <string>
 
 #include "core/methods.hpp"
@@ -46,6 +48,57 @@ const Prepared& workload(const std::string& name) {
   return it->second;
 }
 
+/// The literal Sec. 3.1 loop — every representative of the candidate's
+/// bucket, in store order, decided by the ≈ test recomputed per pair — the
+/// oracle the production matcher must reproduce bit for bit. It wraps the
+/// production policy for a config and borrows only its ≈ test (distance
+/// methods) or its k (iter_k, whose literal loop counts the compatible
+/// representatives); iter_avg has a single path and is delegated whole.
+class ReferencePolicy final : public SimilarityPolicy {
+ public:
+  explicit ReferencePolicy(const ReductionConfig& config) : inner_(config.makePolicy()) {}
+
+  std::string name() const override { return inner_->name(); }
+  void beginRank() override { inner_->beginRank(); }
+  void onStored(const Segment& segment, SegmentId id) override {
+    inner_->onStored(segment, id);
+  }
+  void finishRank(SegmentStore& store) override { inner_->finishRank(store); }
+
+  std::optional<SegmentId> tryMatch(const Segment& candidate,
+                                    SegmentStore& store) override {
+    const std::vector<SegmentId>& bucket = store.bucket(candidate.signature());
+    if (const auto* dist = dynamic_cast<const DistancePolicy*>(inner_.get())) {
+      for (SegmentId id : bucket) {
+        ++counters_.comparisons;
+        const Segment& stored = store.segment(id);
+        if (!candidate.compatible(stored)) continue;  // signature collision guard
+        if (dist->similar(candidate, stored)) return id;
+      }
+      return std::nullopt;
+    }
+    if (const auto* iterK = dynamic_cast<const IterKPolicy*>(inner_.get())) {
+      int compatibleCount = 0;
+      SegmentId last = 0;
+      for (SegmentId id : bucket) {
+        ++counters_.comparisons;
+        if (candidate.compatible(store.segment(id))) {
+          ++compatibleCount;
+          last = id;
+        }
+      }
+      if (compatibleCount < iterK->k()) return std::nullopt;  // still collecting
+      return last;  // footnote 1: fill with the last collected segment
+    }
+    const std::optional<SegmentId> match = inner_->tryMatch(candidate, store);
+    counters_ = inner_->matchCounters();
+    return match;
+  }
+
+ private:
+  std::unique_ptr<SimilarityPolicy> inner_;
+};
+
 /// The nine methods at their paper defaults, plus iter_k@1 — the k edge the
 /// dangling-representative bug hid behind (k=1 matches as soon as one
 /// representative exists; k=0 used to "match" against an empty store).
@@ -72,35 +125,25 @@ void expectExecIdsInRange(const ReductionResult& res) {
       ASSERT_LT(e.id, rr.stored.size()) << "rank " << rr.rank;
 }
 
-TEST(MatchingCache, AllTiersBitIdenticalOnEveryWorkloadAndMethod) {
+TEST(MatchingCache, MatcherBitIdenticalToLiteralLoopOnEveryWorkloadAndMethod) {
   for (const std::string& w : eval::allWorkloads()) {
     const Prepared& p = workload(w);
-    for (ReductionConfig cfg : sweepConfigs()) {
+    for (const ReductionConfig& cfg : sweepConfigs()) {
       SCOPED_TRACE(w + " " + cfg.toString());
-      cfg.acceleration = AccelerationTier::kOff;
-      const ReductionResult off = reduceTrace(p.segmented, p.trace.names(), cfg);
-      cfg.acceleration = AccelerationTier::kCached;
-      const ReductionResult cached = reduceTrace(p.segmented, p.trace.names(), cfg);
-      cfg.acceleration = AccelerationTier::kIndexed;
+      ReferencePolicy reference(cfg);
+      const ReductionResult literal = reduceTrace(p.segmented, p.trace.names(), reference);
       const ReductionResult indexed = reduceTrace(p.segmented, p.trace.names(), cfg);
 
-      expectBitIdentical(off, cached);
-      expectBitIdentical(off, indexed);
+      expectBitIdentical(literal, indexed);
       expectExecIdsInRange(indexed);
 
-      // The uncached loop never pre-filters or indexes anything.
-      EXPECT_EQ(off.counters.pruned, 0u);
-      EXPECT_EQ(off.counters.indexPruned, 0u);
-      EXPECT_EQ(off.counters.indexVisited, 0u);
-      EXPECT_EQ(off.counters.pivotDistEvals, 0u);
-      // The cached tier visits the same representatives in the same order;
-      // only the pre-filter short-circuit differs.
-      EXPECT_EQ(cached.counters.comparisons, off.counters.comparisons);
-      EXPECT_LE(cached.counters.pruned, cached.counters.comparisons);
-      EXPECT_EQ(cached.counters.indexPruned, 0u);
-      // The indexed tier examines at most what the full scan examined, and
-      // every examined entry is either bound-rejected or exactly compared.
-      EXPECT_LE(indexed.counters.comparisons, off.counters.comparisons);
+      // The literal loop never indexes anything.
+      EXPECT_EQ(literal.counters.indexPruned, 0u);
+      EXPECT_EQ(literal.counters.indexVisited, 0u);
+      EXPECT_EQ(literal.counters.pivotDistEvals, 0u);
+      // The matcher examines at most what the full scan examined, and every
+      // examined entry is either bound-rejected or exactly compared.
+      EXPECT_LE(indexed.counters.comparisons, literal.counters.comparisons);
       EXPECT_LE(indexed.counters.indexVisited, indexed.counters.comparisons);
     }
   }
@@ -117,9 +160,9 @@ TEST(MatchingCache, IndexedPathMatchesEveryDriver) {
       const ReductionConfig cfg = ReductionConfig::defaults(m);
       const ReductionResult serial = reduceTrace(p.segmented, p.trace.names(), cfg);
 
-      ReductionConfig par = cfg;
-      par.numThreads = 4;
-      const ReductionResult parallel = reduceTrace(p.segmented, p.trace.names(), par);
+      util::PooledExecutor wide(4);
+      const ReductionResult parallel =
+          reduceTrace(p.segmented, p.trace.names(), cfg.withExecutor(wide));
       expectBitIdentical(serial, parallel);
       EXPECT_EQ(serial.counters, parallel.counters);
 
@@ -146,28 +189,10 @@ TEST(MatchingCache, IndexedPathMatchesEveryDriver) {
   }
 }
 
-TEST(MatchingCache, PreFilterPrunesProvablyDissimilarPairs) {
-  // Same signature, wildly different durations: the norm gap alone rejects
-  // the pair at a tight Euclidean threshold — no full vector walk.
-  StringTable names;
-  const Segment shortSeg = makeSegment(names, "m", 0, 100,
-                                       {{"f", OpKind::kCompute, 1, 99, {}}});
-  const Segment longSeg = makeSegment(names, "m", 0, 1000000,
-                                      {{"f", OpKind::kCompute, 1, 999999, {}}});
-  MinkowskiPolicy policy(MinkowskiPolicy::Order::kEuclidean, 0.01);
-  policy.setAccelerationTier(AccelerationTier::kCached);
-  policy.beginRank();
-  SegmentStore store;
-  const SegmentId id = store.add(shortSeg);
-  policy.onStored(store.segment(id), id);
-  EXPECT_FALSE(policy.tryMatch(longSeg, store).has_value());
-  EXPECT_EQ(policy.matchCounters().comparisons, 1u);
-  EXPECT_EQ(policy.matchCounters().pruned, 1u);
-}
-
 TEST(MatchingCache, IndexExcludesDissimilarEntriesBeforeAnyExactComparison) {
-  // The same pair under the indexed tier: the stored norm falls outside the
-  // candidate's admissible window, so the entry is never even visited.
+  // Same signature, wildly different durations at a tight Euclidean
+  // threshold: the stored norm falls outside the candidate's admissible
+  // window, so the entry is never even visited.
   StringTable names;
   const Segment shortSeg = makeSegment(names, "m", 0, 100,
                                        {{"f", OpKind::kCompute, 1, 99, {}}});
@@ -192,16 +217,13 @@ TEST(MatchingCache, LazyFeatureFillServesStoresPopulatedBehindThePolicy) {
                                 {{"f", OpKind::kCompute, 1, 99, {}}});
   Segment b = a;
   b.end += 1;
-  for (AccelerationTier tier : {AccelerationTier::kCached, AccelerationTier::kIndexed}) {
-    MinkowskiPolicy policy(MinkowskiPolicy::Order::kEuclidean, 0.5);
-    policy.setAccelerationTier(tier);
-    policy.beginRank();
-    SegmentStore store;
-    store.add(a);  // no onStored
-    const auto match = policy.tryMatch(b, store);
-    ASSERT_TRUE(match.has_value());
-    EXPECT_EQ(*match, 0u);
-  }
+  MinkowskiPolicy policy(MinkowskiPolicy::Order::kEuclidean, 0.5);
+  policy.beginRank();
+  SegmentStore store;
+  store.add(a);  // no onStored
+  const auto match = policy.tryMatch(b, store);
+  ASSERT_TRUE(match.has_value());
+  EXPECT_EQ(*match, 0u);
 }
 
 TEST(MatchingCache, StoreClearInvalidatesCachedFeaturesAndIndexes) {
@@ -214,34 +236,30 @@ TEST(MatchingCache, StoreClearInvalidatesCachedFeaturesAndIndexes) {
                                        {{"f", OpKind::kCompute, 1, 99, {}}});
   const Segment replacement = makeSegment(names, "m", 0, 1000000,
                                           {{"f", OpKind::kCompute, 1, 999999, {}}});
-  for (AccelerationTier tier : {AccelerationTier::kCached, AccelerationTier::kIndexed}) {
-    MinkowskiPolicy policy(MinkowskiPolicy::Order::kEuclidean, 0.1);
-    policy.setAccelerationTier(tier);
-    policy.beginRank();
-    SegmentStore store;
-    SegmentId id = store.add(original);
-    policy.onStored(store.segment(id), id);
-    EXPECT_TRUE(policy.tryMatch(original, store).has_value());
+  MinkowskiPolicy policy(MinkowskiPolicy::Order::kEuclidean, 0.1);
+  policy.beginRank();
+  SegmentStore store;
+  SegmentId id = store.add(original);
+  policy.onStored(store.segment(id), id);
+  EXPECT_TRUE(policy.tryMatch(original, store).has_value());
 
-    store.clear();
-    id = store.add(replacement);  // reuses id 0
-    policy.onStored(store.segment(id), id);
-    // Stale features for the old id 0 would accept this match.
-    EXPECT_FALSE(policy.tryMatch(original, store).has_value())
-        << "tier " << static_cast<int>(tier);
-    EXPECT_TRUE(policy.tryMatch(replacement, store).has_value());
-  }
+  store.clear();
+  id = store.add(replacement);  // reuses id 0
+  policy.onStored(store.segment(id), id);
+  // Stale features for the old id 0 would accept this match.
+  EXPECT_FALSE(policy.tryMatch(original, store).has_value());
+  EXPECT_TRUE(policy.tryMatch(replacement, store).has_value());
 
   // iter_k keeps its own class index keyed by id; the same invalidation
   // applies (a stale class count would claim k executions already exist).
   IterKPolicy iterK(1);
   iterK.beginRank();
-  SegmentStore store;
-  SegmentId id = store.add(original);
-  iterK.onStored(store.segment(id), id);
-  EXPECT_TRUE(iterK.tryMatch(original, store).has_value());
-  store.clear();
-  EXPECT_FALSE(iterK.tryMatch(original, store).has_value());
+  SegmentStore iterStore;
+  id = iterStore.add(original);
+  iterK.onStored(iterStore.segment(id), id);
+  EXPECT_TRUE(iterK.tryMatch(original, iterStore).has_value());
+  iterStore.clear();
+  EXPECT_FALSE(iterK.tryMatch(original, iterStore).has_value());
 }
 
 /// `n` compatible segments whose measurements grow by 10% per step, so a
@@ -264,34 +282,28 @@ TEST(MatchingCache, SyncThenQueryEqualsTryMatch) {
   const std::vector<Segment> segs = growingSegments(names, 24);
   for (Method m : {Method::kRelDiff, Method::kAbsDiff, Method::kEuclidean,
                    Method::kAvgWave}) {
-    for (AccelerationTier tier : {AccelerationTier::kOff, AccelerationTier::kCached,
-                                  AccelerationTier::kIndexed}) {
-      SCOPED_TRACE(std::string(methodName(m)) + " tier " +
-                   std::to_string(static_cast<int>(tier)));
-      auto whole = makePolicy(m, defaultThreshold(m) / 8);
-      auto split = makePolicy(m, defaultThreshold(m) / 8);
-      whole->setAccelerationTier(tier);
-      split->setAccelerationTier(tier);
-      auto& dist = dynamic_cast<DistancePolicy&>(*split);
-      SegmentStore a, b;
-      MatchCounters queried;
-      for (const Segment& s : segs) {
-        const auto want = whole->tryMatch(s, a);
-        dist.sync(s, b);
-        const auto got = dist.query(s, b, queried);
-        ASSERT_EQ(got, want);
-        if (!want) {
-          const SegmentId ia = a.add(s);
-          whole->onStored(a.segment(ia), ia);
-          const SegmentId ib = b.add(s);
-          split->onStored(b.segment(ib), ib);
-        }
+    SCOPED_TRACE(methodName(m));
+    auto whole = makePolicy(m, defaultThreshold(m) / 8);
+    auto split = makePolicy(m, defaultThreshold(m) / 8);
+    auto& dist = dynamic_cast<DistancePolicy&>(*split);
+    SegmentStore a, b;
+    MatchCounters queried;
+    for (const Segment& s : segs) {
+      const auto want = whole->tryMatch(s, a);
+      dist.sync(s, b);
+      const auto got = dist.query(s, b, queried);
+      ASSERT_EQ(got, want);
+      if (!want) {
+        const SegmentId ia = a.add(s);
+        whole->onStored(a.segment(ia), ia);
+        const SegmentId ib = b.add(s);
+        split->onStored(b.segment(ib), ib);
       }
-      EXPECT_GT(a.size(), EndIntervalIndex::kActivation);
-      MatchCounters total = split->matchCounters();
-      total.merge(queried);
-      EXPECT_EQ(total, whole->matchCounters());
     }
+    EXPECT_GT(a.size(), EndIntervalIndex::kActivation);
+    MatchCounters total = split->matchCounters();
+    total.merge(queried);
+    EXPECT_EQ(total, whole->matchCounters());
   }
 }
 
@@ -320,25 +332,6 @@ TEST(MatchingCache, QueryFailsLoudlyWhenNotSynced) {
     EXPECT_THROW((void)dist.query(segs[0], store, counters), std::logic_error);
     dist.sync(segs[0], store);
     EXPECT_NO_THROW((void)dist.query(segs[0], store, counters));
-  }
-}
-
-TEST(MatchingCache, AccelerationOffNeverPopulatesTheCacheButStillMatches) {
-  StringTable names;
-  const Segment a = makeSegment(names, "m", 0, 100,
-                                {{"f", OpKind::kCompute, 1, 99, {}}});
-  for (Method m : {Method::kRelDiff, Method::kAbsDiff, Method::kEuclidean,
-                   Method::kAvgWave, Method::kHaarWave}) {
-    auto policy = makePolicy(m, 1e9);
-    policy->setAcceleration(false);
-    EXPECT_EQ(policy->accelerationTier(), AccelerationTier::kOff);
-    policy->beginRank();
-    SegmentStore store;
-    const SegmentId id = store.add(a);
-    policy->onStored(store.segment(id), id);
-    EXPECT_TRUE(policy->tryMatch(a, store).has_value()) << methodName(m);
-    EXPECT_EQ(policy->matchCounters().indexVisited, 0u);
-    EXPECT_EQ(policy->matchCounters().indexPruned, 0u);
   }
 }
 
@@ -386,17 +379,13 @@ TEST(FeatureCache, PutGetOrComputeAndClear) {
   EXPECT_THROW((void)frozen.get(0), std::logic_error);
 }
 
-TEST(MatchCountersTest, MergeDiffAndPruneRate) {
-  MatchCounters a{10, 4};
-  const MatchCounters b{5, 1};
+TEST(MatchCountersTest, MergeAndDiff) {
+  MatchCounters a{10};
+  const MatchCounters b{5};
   a.merge(b);
   EXPECT_EQ(a.comparisons, 15u);
-  EXPECT_EQ(a.pruned, 5u);
   const MatchCounters d = a - b;
   EXPECT_EQ(d.comparisons, 10u);
-  EXPECT_EQ(d.pruned, 4u);
-  EXPECT_DOUBLE_EQ(d.pruneRate(), 0.4);
-  EXPECT_DOUBLE_EQ(MatchCounters{}.pruneRate(), 0.0);
 }
 
 }  // namespace

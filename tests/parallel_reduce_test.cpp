@@ -1,11 +1,13 @@
 // The equivalence matrix of the config-driven reduction driver, swept over
 // the WHOLE workload registry (the paper's 18 programs + every scenario):
 // for every method at its default threshold, offline serial == offline
-// parallel (numThreads 1, 2, 8 and a shared PooledExecutor) == online ==
+// parallel (PooledExecutor widths 1, 2, 8 and a shared pool) == online ==
 // streaming ReductionSession, with bit-identical ReducedTraces and identical
 // merged ReductionStats. Plus sparse-rank indexing in the online reducer and
 // stats-merge algebra.
 #include <gtest/gtest.h>
+
+#include <optional>
 
 #include "core/cross_rank.hpp"
 #include "core/methods.hpp"
@@ -76,9 +78,9 @@ TEST(ParallelReduce, RegistryWideDriverEquivalence) {
       const ReductionResult serial = reduceTrace(segmented, trace.names(), *policy);
 
       for (int threads : {1, 2, 8}) {
-        ReductionConfig cfg = config;
-        cfg.numThreads = threads;
-        expectIdentical(serial, reduceTrace(segmented, trace.names(), cfg),
+        util::PooledExecutor pool(threads);
+        expectIdentical(serial,
+                        reduceTrace(segmented, trace.names(), config.withExecutor(pool)),
                         "parallel threads=" + std::to_string(threads));
       }
       expectIdentical(serial,
@@ -93,7 +95,7 @@ TEST(ParallelReduce, RegistryWideDriverEquivalence) {
 // The driver matrix extended through the merge stage: on every registered
 // workload, a session armed with setMergeOptions produces merged TRM1 bytes
 // identical to the serial reference merge of the serial reduction — across
-// --threads {1, 2, 8}, a shared PooledExecutor, and the offline vs streaming
+// pool widths {1, 2, 8}, a shared PooledExecutor, and the offline vs streaming
 // paths alike.
 TEST(ParallelReduce, RegistryWideMergeStageEquivalence) {
   eval::WorkloadOptions opts;
@@ -132,8 +134,8 @@ TEST(ParallelReduce, RegistryWideMergeStageEquivalence) {
     };
 
     for (int threads : {1, 2, 8}) {
-      ReductionConfig cfg = ReductionConfig::defaults(m);
-      cfg.numThreads = threads;
+      util::PooledExecutor pool(threads);
+      const ReductionConfig cfg = ReductionConfig::defaults(m).withExecutor(pool);
       ReductionSession offline(trace.names(), cfg);
       EXPECT_EQ(mergedBytesOf(offline, false), want)
           << "offline threads=" << threads;
@@ -161,9 +163,8 @@ TEST(ParallelReduce, OnlineParallelFinishMatchesSerialFinish) {
   const ReductionConfig serialCfg{Method::kAvgWave, 0.2};
   const ReductionResult serialFinish = reduceOnline(trace, serialCfg);
   for (int threads : {2, 8}) {
-    ReductionConfig cfg = serialCfg;
-    cfg.numThreads = threads;
-    expectIdentical(serialFinish, reduceOnline(trace, cfg),
+    util::PooledExecutor pool(threads);
+    expectIdentical(serialFinish, reduceOnline(trace, serialCfg.withExecutor(pool)),
                     "online finish threads=" + std::to_string(threads));
   }
   util::PooledExecutor pool(2);
@@ -177,9 +178,10 @@ TEST(ParallelReduce, AutoThreadCountWorks) {
   auto policy = makeDefaultPolicy(Method::kEuclidean);
   const ReductionResult serial = reduceTrace(segmented, trace.names(), *policy);
 
-  ReductionConfig cfg = ReductionConfig::defaults(Method::kEuclidean);
-  cfg.numThreads = 0;  // hardware concurrency
-  const ReductionResult parallel = reduceTrace(segmented, trace.names(), cfg);
+  util::PooledExecutor pool(0);  // hardware concurrency
+  const ReductionResult parallel = reduceTrace(
+      segmented, trace.names(),
+      ReductionConfig::defaults(Method::kEuclidean).withExecutor(pool));
   expectIdentical(serial, parallel, "auto threads");
 }
 
@@ -189,9 +191,9 @@ TEST(ParallelReduce, MoreThreadsThanRanksWorks) {
   auto policy = makeDefaultPolicy(Method::kRelDiff);
   const ReductionResult serial = reduceTrace(segmented, trace.names(), *policy);
 
-  ReductionConfig cfg = ReductionConfig::defaults(Method::kRelDiff);
-  cfg.numThreads = 64;
-  const ReductionResult parallel = reduceTrace(segmented, trace.names(), cfg);
+  util::PooledExecutor pool(64);
+  const ReductionResult parallel = reduceTrace(
+      segmented, trace.names(), ReductionConfig::defaults(Method::kRelDiff).withExecutor(pool));
   expectIdentical(serial, parallel, "threads > ranks");
 }
 
@@ -199,8 +201,8 @@ TEST(ParallelReduce, EmptyTraceParallelIsEmpty) {
   StringTable names;
   names.intern("main");
   SegmentedTrace segmented;
-  ReductionConfig cfg{Method::kAvgWave, 0.2};
-  cfg.numThreads = 8;
+  util::PooledExecutor pool(8);
+  const ReductionConfig cfg{Method::kAvgWave, 0.2, &pool};
   const ReductionResult res = reduceTrace(segmented, names, cfg);
   EXPECT_TRUE(res.reduced.ranks.empty());
   EXPECT_EQ(res.stats.totalSegments, 0u);
@@ -210,9 +212,11 @@ TEST(ParallelReduce, EmptyTraceParallelIsEmpty) {
 TEST(ParallelReduce, ProgressReportsEveryRankOnce) {
   const Trace& trace = matrixTrace();
   const SegmentedTrace segmented = segmentTrace(trace);
-  for (int threads : {1, 4}) {
-    ReductionConfig cfg{Method::kAbsDiff, 1e3};
-    cfg.numThreads = threads;
+  // 0 stands for no executor (inline on the calling thread).
+  for (int threads : {0, 1, 4}) {
+    std::optional<util::PooledExecutor> pool;
+    if (threads > 0) pool.emplace(threads);
+    const ReductionConfig cfg{Method::kAbsDiff, 1e3, pool ? &*pool : nullptr};
     std::vector<std::pair<std::size_t, std::size_t>> calls;
     reduceTrace(segmented, trace.names(), cfg,
                 [&](std::size_t done, std::size_t total) {

@@ -16,7 +16,6 @@ TEST(ReductionConfig, DefaultsUsePaperThresholds) {
     const ReductionConfig cfg = ReductionConfig::defaults(m);
     EXPECT_EQ(cfg.method, m);
     EXPECT_DOUBLE_EQ(cfg.threshold, defaultThreshold(m));
-    EXPECT_EQ(cfg.numThreads, 1);
     EXPECT_EQ(cfg.executor, nullptr);
   }
 }
@@ -104,11 +103,10 @@ TEST(ReductionConfig, FromNameRejectsNonIntegerOrNonPositiveIterK) {
 
 TEST(ReductionConfig, WithExecutorSetsOnlyTheExecutor) {
   util::SerialExecutor exec;
-  const ReductionConfig base{Method::kHaarWave, 0.6, 4};
+  const ReductionConfig base{Method::kHaarWave, 0.6};
   const ReductionConfig wired = base.withExecutor(exec);
   EXPECT_EQ(wired.method, base.method);
   EXPECT_DOUBLE_EQ(wired.threshold, base.threshold);
-  EXPECT_EQ(wired.numThreads, base.numThreads);
   EXPECT_EQ(wired.executor, &exec);
   EXPECT_EQ(base.executor, nullptr);  // original untouched
 }

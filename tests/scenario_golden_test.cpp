@@ -20,6 +20,7 @@
 #include "eval/workloads.hpp"
 #include "trace/segmenter.hpp"
 #include "trace/trace_io.hpp"
+#include "util/executor.hpp"
 #include "util/hash.hpp"
 
 namespace tracered::eval {
@@ -165,9 +166,9 @@ TEST(ScenarioGolden, EveryWorkloadReproducesItsMergedChecksum) {
     auto policy = core::makeDefaultPolicy(core::Method::kAvgWave);
     const ReducedTrace reduced =
         core::reduceTrace(segmentTrace(trace), trace.names(), *policy).reduced;
+    util::PooledExecutor pool(2);
     core::MergeOptions mo;
-    mo.config = core::ReductionConfig::defaults(core::Method::kAvgWave);
-    mo.config.numThreads = 2;
+    mo.config = core::ReductionConfig::defaults(core::Method::kAvgWave).withExecutor(pool);
     mo.shardRanks = 8;
     const core::MergeResult merged = core::mergeAcrossRanks(reduced, mo);
     const auto bytes = serializeMergedTrace(merged.merged);

@@ -8,7 +8,9 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "trace/trace_io.hpp"
 #include "util/version.hpp"
@@ -211,6 +213,19 @@ TEST(TraceredCli, ExitCodesDistinguishUsageFromRuntimeErrors) {
   const CliResult badThreads = runCli("reduce foo.trf --threads abc");
   EXPECT_EQ(badThreads.exitCode, 2);
   EXPECT_NE(badThreads.output.find("bad --threads value"), std::string::npos);
+  // So is a --threads value outside [0, INT_MAX] — never silently truncated
+  // or turned into "hardware concurrency". serve checks before it binds.
+  const std::string sock = "unix:" + tmpPath("cli_bad_threads.sock");
+  for (const std::string& cmd :
+       {std::string("reduce foo.trf --threads -3"),
+        std::string("reduce foo.trf --threads 4294967296"),
+        "serve --listen " + sock + " --threads -1",
+        "serve --listen " + sock + " --threads 4294967296"}) {
+    const CliResult r = runCli(cmd);
+    EXPECT_EQ(r.exitCode, 2) << cmd;
+    EXPECT_NE(r.output.find("--threads must be between 0"), std::string::npos)
+        << cmd << "\n" << r.output;
+  }
 
   // A value-taking flag with no value — trailing or followed by another
   // flag — must be rejected rather than silently treated as the boolean
@@ -301,6 +316,30 @@ TEST(TraceredCli, ClosedStdoutIsAWriteErrorNotASignalDeath) {
     EXPECT_EQ(rc, 1) << "expected a write-error exit, not a SIGPIPE death";
     std::remove(status.c_str());
   }
+}
+
+// --threads sizes one pool shared by the reduce and merge stages; the merged
+// trace must not depend on it.
+TEST(TraceredCli, MergeOutputIsIndependentOfThreads) {
+  const std::string trf = tmpPath("cli_merge.trf");
+  ASSERT_EQ(runCli("generate scenario:sparse_ranks --scale 0.2 --seed 3 --param ranks=48 "
+                   "--out " + trf)
+                .exitCode,
+            0);
+  const auto mergedWith = [&](int threads) {
+    const std::string trm = tmpPath("cli_merge_t" + std::to_string(threads) + ".trm");
+    const CliResult r = runCli("reduce " + trf +
+                               " --config avgWave@0.2 --merge --merge-shard 8 --threads " +
+                               std::to_string(threads) + " --merge-out " + trm);
+    EXPECT_EQ(r.exitCode, 0) << r.output;
+    std::vector<std::uint8_t> bytes = readFile(trm);
+    std::remove(trm.c_str());
+    return bytes;
+  };
+  const std::vector<std::uint8_t> serial = mergedWith(1);
+  ASSERT_FALSE(serial.empty());
+  for (int threads : {0, 2}) EXPECT_EQ(mergedWith(threads), serial) << "--threads " << threads;
+  std::remove(trf.c_str());
 }
 
 TEST(TraceredCli, ServeDaemonRoundTripMatchesBatchReduce) {

@@ -15,6 +15,7 @@
 #include "serve/client.hpp"
 #include "trace/segmenter.hpp"
 #include "trace/trace_io.hpp"
+#include "util/executor.hpp"
 #include "util/table.hpp"
 
 namespace tracered::tools {
@@ -36,7 +37,6 @@ core::ProgressFn progressPrinter() {
 /// table for the same flags.
 bool isStatsRow(const std::string& key) {
   return key == "reduce wall ms" || key == "reps scanned" ||
-         key == "pruned by pre-filter" || key == "prune rate" ||
          key == "reps visited (exact)" || key == "index pruned" ||
          key == "index prune rate" || key == "pivot distance evals";
 }
@@ -95,7 +95,9 @@ int runReduce(const CliArgs& args) {
   }
   if (args.has("remote")) return runRemoteReduce(args, input, config);
 
-  config.numThreads = static_cast<int>(args.getInt("threads", 1));
+  // One pool for both stages; it starts lazily, so --threads 1 never spawns.
+  util::PooledExecutor pool(threadsFlag(args, 1));
+  config = config.withExecutor(pool);
   const bool streaming = args.getBool("streaming");
   const bool progress = args.getBool("progress");
   const bool stats = args.getBool("stats");
@@ -110,11 +112,11 @@ int runReduce(const CliArgs& args) {
     try {
       mergeOptions.config = args.has("merge-config")
                                 ? core::ReductionConfig::fromName(args.get("merge-config"))
+                                      .withExecutor(pool)
                                 : config;
     } catch (const std::invalid_argument& e) {
       throw UsageError(e.what());
     }
-    mergeOptions.config.numThreads = config.numThreads;  // --threads drives both stages
     const long long shard = args.getInt("merge-shard", 64);
     if (shard < 1) throw UsageError("--merge-shard must be >= 1");
     mergeOptions.shardRanks = static_cast<std::size_t>(shard);
@@ -231,8 +233,8 @@ CliCommand makeReduceCommand() {
       {"merge-out", "<file>", "write the merged trace (TRM1) here"},
       {"progress", "", "report per-rank progress on stderr"},
       {"stats", "",
-       "append matching-cost rows (wall ms, reps scanned/visited, pre-filter "
-       "and index prune rates)"},
+       "append matching-cost rows (wall ms, reps scanned/visited, index prune "
+       "rate)"},
   };
   c.run = runReduce;
   return c;

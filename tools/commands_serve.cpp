@@ -36,7 +36,7 @@ int runServe(const CliArgs& args) {
     if (window < 4096) throw UsageError("--window must be at least 4096 bytes");
     options.windowBytes = static_cast<std::size_t>(window);
   }
-  options.threads = static_cast<int>(args.getInt("threads", 0));
+  options.threads = threadsFlag(args, 0);
   const std::int64_t maxClients = args.getInt("max-clients", 256);
   if (maxClients < 1) throw UsageError("--max-clients must be at least 1");
   options.maxConnections = static_cast<std::size_t>(maxClients);
