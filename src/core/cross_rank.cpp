@@ -1,6 +1,7 @@
 #include "core/cross_rank.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -29,10 +30,11 @@ MergedReducedTrace mergeAcrossRanks(const ReducedTrace& reduced,
     for (SegmentId id = 0; id < rr.stored.size(); ++id) {
       ++local.inputRepresentatives;
       const Segment& rep = rr.stored[id];
-      if (auto matched = policy.tryMatch(rep, shared)) {
+      const std::uint64_t sig = rep.signature();
+      if (auto matched = policy.tryMatch(rep, sig, shared)) {
         remap[id] = *matched;
       } else {
-        const SegmentId sharedId = shared.add(rep);
+        const SegmentId sharedId = shared.add(rep, sig);
         policy.onStored(shared.segment(sharedId), sharedId);
         remap[id] = sharedId;
       }
@@ -121,6 +123,14 @@ void CrossRankMerger::flushShard() {
   if (pending_.empty()) return;
   const std::size_t nUnits = pending_.size();
 
+  // Each candidate is hashed once, here; the sync, the probe, the commit
+  // walk's tryMatch and the store insert all take the same signature.
+  std::vector<std::vector<std::uint64_t>> sigs(nUnits);
+  for (std::size_t unit = 0; unit < nUnits; ++unit) {
+    sigs[unit].reserve(pending_[unit].stored.size());
+    for (const Segment& rep : pending_[unit].stored) sigs[unit].push_back(rep.signature());
+  }
+
   // Step 1 — probe: test every candidate of the shard against the store
   // prefix committed by earlier shards, which is frozen for the whole step
   // (all commits happen in step 2). Store order puts every frozen entry
@@ -132,20 +142,23 @@ void CrossRankMerger::flushShard() {
   // merge. First, serially, sync the buckets the shard's candidates hit
   // (index upkeep counts into the commit policy, once). Then the parallel
   // probe only reads that state: one unit per rank, each counting into its
-  // own slot, so both the probe results and the summed counters are
-  // independent of worker count and scheduling.
+  // own slot and computing features into its own scratch, so both the probe
+  // results and the summed counters are independent of worker count and
+  // scheduling.
   std::vector<std::vector<std::optional<SegmentId>>> probe(nUnits);
   if (probePolicy_ != nullptr && shared_.size() > 0) {
-    for (const RankReduced& rr : pending_)
-      for (const Segment& rep : rr.stored) probePolicy_->sync(rep, shared_);
+    for (const std::vector<std::uint64_t>& unitSigs : sigs)
+      for (const std::uint64_t sig : unitSigs) probePolicy_->sync(sig, shared_);
     std::vector<MatchCounters> unitCounters(nUnits);
     runSharded(options_.config.executor, nUnits, [&](std::size_t, std::size_t unit) {
       const RankReduced& rr = pending_[unit];
       auto& res = probe[unit];
       res.resize(rr.stored.size());
       MatchCounters counters;
+      SegmentFeatures scratch;
       for (SegmentId id = 0; id < rr.stored.size(); ++id)
-        res[id] = probePolicy_->query(rr.stored[id], shared_, counters);
+        res[id] = probePolicy_->query(rr.stored[id], sigs[unit][id], shared_, counters,
+                                      scratch);
       unitCounters[unit] = counters;
     });
     for (const MatchCounters& c : unitCounters) probeCounters_.merge(c);
@@ -164,16 +177,17 @@ void CrossRankMerger::flushShard() {
     for (SegmentId id = 0; id < rr.stored.size(); ++id) {
       ++inputReps_;
       const Segment& rep = rr.stored[id];
+      const std::uint64_t sig = sigs[unit][id];
       std::optional<SegmentId> match;
       if (id < probed.size() && probed[id].has_value()) {
         match = probed[id];
       } else {
-        match = commitPolicy_->tryMatch(rep, shared_);
+        match = commitPolicy_->tryMatch(rep, sig, shared_);
       }
       if (match.has_value()) {
         remap[id] = *match;
       } else {
-        const SegmentId sharedId = shared_.add(rep);
+        const SegmentId sharedId = shared_.add(rep, sig);
         commitPolicy_->onStored(shared_.segment(sharedId), sharedId);
         remap[id] = sharedId;
       }

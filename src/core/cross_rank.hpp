@@ -30,9 +30,11 @@
 // each shard boundary the buckets the shard's candidates hit are synced
 // serially (DistancePolicy::sync — deterministic, counted once), the probe
 // workers then query that index read-only (DistancePolicy::query, each unit
-// counting into its own slot), and the commit walk extends it as entries
-// are added. Nothing is rebuilt per rank or per shard, and every shard runs
-// through the config's one executor, so a pooled merge starts one pool.
+// counting into its own counters and computing features into its own
+// scratch), and the commit walk extends it as entries are added. Nothing is
+// rebuilt per rank or per shard, and every shard runs through the config's
+// one executor, so a pooled merge starts one pool. Each candidate is hashed
+// once per shard flush and its signature reused by every step.
 //
 // Why the two-step shape instead of merging subtrees independently and
 // combining: similarity is not transitive, so a candidate can match a

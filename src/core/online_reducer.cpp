@@ -19,17 +19,21 @@ namespace {
 
 OnlineRankReducer::OnlineRankReducer(Rank rank, const StringTable& names,
                                      SimilarityPolicy& policy)
-    : rank_(rank), names_(names), engine_(rank, policy) {}
+    : rank_(rank), names_(names), engine_(rank, policy) {
+  current_.rank = rank;
+}
 
 void OnlineRankReducer::closeSegment(TimeUs endTime) {
-  Segment seg = std::move(*current_);
-  current_.reset();
-  seg.end = endTime - seg.absStart;
-  for (auto& e : seg.events) {
-    e.start -= seg.absStart;
-    e.end -= seg.absStart;
+  // Rebase in place and hand the segment over; the store copies what it
+  // keeps, so the event buffer is cleared (capacity kept) for the next one.
+  current_.end = endTime - current_.absStart;
+  for (auto& e : current_.events) {
+    e.start -= current_.absStart;
+    e.end -= current_.absStart;
   }
-  engine_.consume(seg);
+  engine_.consume(current_);
+  current_.events.clear();
+  inSegment_ = false;
 }
 
 void OnlineRankReducer::feed(const RawRecord& record) {
@@ -37,35 +41,33 @@ void OnlineRankReducer::feed(const RawRecord& record) {
   switch (record.kind) {
     case RecordKind::kSegBegin: {
       if (pending_) fail(rank_, "segment begins inside an open event");
-      if (current_) fail(rank_, "nested segment begin '" + names_.name(record.name) + "'");
-      Segment s;
-      s.context = record.name;
-      s.rank = rank_;
-      s.absStart = record.time;
-      current_ = std::move(s);
+      if (inSegment_) fail(rank_, "nested segment begin '" + names_.name(record.name) + "'");
+      current_.context = record.name;
+      current_.absStart = record.time;
+      inSegment_ = true;
       break;
     }
     case RecordKind::kSegEnd: {
       if (pending_) fail(rank_, "segment ends inside an open event");
-      if (!current_ || current_->context != record.name)
+      if (!inSegment_ || current_.context != record.name)
         fail(rank_, "unmatched segment end '" + names_.name(record.name) + "'");
       // A segment that ends before it began would flow a negative duration
       // into reduction and poison every similarity measurement.
-      if (record.time < current_->absStart)
+      if (record.time < current_.absStart)
         fail(rank_, "segment '" + names_.name(record.name) + "' ends at " +
                         std::to_string(record.time) + "us, before its begin at " +
-                        std::to_string(current_->absStart) + "us");
+                        std::to_string(current_.absStart) + "us");
       closeSegment(record.time);
       break;
     }
     case RecordKind::kEnter: {
-      if (!current_) fail(rank_, "event outside any segment");
+      if (!inSegment_) fail(rank_, "event outside any segment");
       if (pending_) fail(rank_, "nested function enter");
-      if (record.time < current_->absStart)
+      if (record.time < current_.absStart)
         fail(rank_, "event '" + names_.name(record.name) + "' enters at " +
                         std::to_string(record.time) +
                         "us, before its segment began at " +
-                        std::to_string(current_->absStart) + "us");
+                        std::to_string(current_.absStart) + "us");
       pending_ = record;
       break;
     }
@@ -82,7 +84,7 @@ void OnlineRankReducer::feed(const RawRecord& record) {
       ev.msg = pending_->msg;
       ev.start = pending_->time;
       ev.end = record.time;
-      current_->events.push_back(ev);
+      current_.events.push_back(ev);
       pending_.reset();
       break;
     }
@@ -92,7 +94,7 @@ void OnlineRankReducer::feed(const RawRecord& record) {
 RankReduced OnlineRankReducer::finish() {
   if (finished_) fail(rank_, "finish called twice");
   if (pending_) fail(rank_, "stream ends inside an open event");
-  if (current_) fail(rank_, "stream ends inside an open segment");
+  if (inSegment_) fail(rank_, "stream ends inside an open segment");
   finished_ = true;
   return engine_.finish();
 }

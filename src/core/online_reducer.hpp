@@ -71,7 +71,11 @@ class OnlineRankReducer {
   const StringTable& names_;
   RankReductionEngine engine_;
 
-  std::optional<Segment> current_;     // open segment, absolute event times
+  // The open segment (absolute event times) when inSegment_. One Segment is
+  // reused for every segment of the rank, so its event buffer stops growing
+  // once it has held the rank's longest segment.
+  Segment current_;
+  bool inSegment_ = false;
   std::optional<RawRecord> pending_;   // open function invocation
   bool finished_ = false;
 };

@@ -15,17 +15,11 @@ void RankReductionEngine::consume(const Segment& seg) {
   if (finished_)
     throw std::logic_error("rank reduction engine: consume after finish");
   ++stats_.totalSegments;
-  // Signature groups for the possible-match count. Signatures are hashes;
-  // collisions would only perturb the *denominator* of the degree of
-  // matching by a vanishing amount, so a set of hashes suffices here. The
-  // hash walks the whole event list, so compute it once and share it with
-  // the store's bucket insert (tryMatch's bucket lookup hashes the same
-  // candidate; threading it further through the policy API isn't worth the
-  // interface weight yet).
+  // The hash walks the whole event list: compute it once and share it with
+  // the policy's bucket lookup and, on a miss, the store's insert.
   const std::uint64_t sig = seg.signature();
-  groups_.insert(sig);
 
-  if (auto matched = policy_.tryMatch(seg, store_)) {
+  if (auto matched = policy_.tryMatch(seg, sig, store_)) {
     ++stats_.matches;
     result_.execs.push_back(SegmentExec{*matched, seg.absStart});
   } else {
@@ -44,10 +38,12 @@ RankReduced RankReductionEngine::finish() {
     throw std::logic_error("rank reduction engine: finish called twice");
   finished_ = true;
 
-  // Every match joins a group whose first member was stored, so the distinct
-  // incoming signatures equal the distinct stored signatures — the same
-  // denominator whether the accounting runs offline or streaming.
-  stats_.possibleMatches = stats_.totalSegments - groups_.size();
+  // A policy only ever matches into the candidate's own bucket, whose first
+  // member was stored, so the distinct incoming signatures are exactly the
+  // store's buckets — the same denominator whether the accounting runs
+  // offline or streaming. Signatures are hashes; a collision would only
+  // perturb the denominator of the degree of matching by a vanishing amount.
+  stats_.possibleMatches = stats_.totalSegments - store_.bucketCount();
   stats_.storedSegments = store_.size();
 
   policy_.finishRank(store_);

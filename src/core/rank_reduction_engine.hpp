@@ -14,8 +14,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <unordered_set>
 
 #include "core/segment_store.hpp"
 #include "core/similarity.hpp"
@@ -30,7 +28,7 @@ struct ReductionStats {
   std::size_t totalSegments = 0;
   std::size_t storedSegments = 0;
   std::size_t matches = 0;          ///< Segments recorded against an existing id.
-  std::size_t possibleMatches = 0;  ///< totalSegments - #signature groups.
+  std::size_t possibleMatches = 0;  ///< totalSegments - #distinct signatures.
 
   /// Associative, commutative accumulation of another rank's (or partial)
   /// stats. merge(a, merge(b, c)) == merge(merge(a, b), c).
@@ -91,7 +89,6 @@ class RankReductionEngine {
   RankReduced result_;
   ReductionStats stats_;
   MatchCounters counterBase_;  ///< Policy counters when this engine bound it.
-  std::unordered_set<std::uint64_t> groups_;  ///< Distinct signatures seen.
   bool finished_ = false;
 };
 

@@ -29,19 +29,22 @@ SegmentId SegmentStore::add(const Segment& segment, std::uint64_t signature) {
   Segment stored = segment;
   stored.absStart = 0;
   segments_.push_back(std::move(stored));
-  buckets_[signature].push_back(id);
+  const auto [slot, isNew] = slots_.try_emplace(signature, buckets_.size());
+  if (isNew) buckets_.emplace_back();
+  buckets_[slot->second].push_back(id);
   return id;
 }
 
 void SegmentStore::clear() {
   segments_.clear();
+  slots_.clear();
   buckets_.clear();
   generation_ = nextGeneration();
 }
 
 const std::vector<SegmentId>& SegmentStore::bucket(std::uint64_t sig) const {
-  const auto it = buckets_.find(sig);
-  return it == buckets_.end() ? kEmpty : it->second;
+  const std::size_t slot = slotOf(sig);
+  return slot == kNoSlot ? kEmpty : buckets_[slot];
 }
 
 }  // namespace tracered::core

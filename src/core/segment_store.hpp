@@ -4,6 +4,7 @@
 // possibly match rather than all representatives.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <stdexcept>
@@ -18,7 +19,9 @@ namespace tracered::core {
 
 /// Derived matching features of one segment, computed once and reused for
 /// every comparison the segment participates in (candidate side: once per
-/// consume(); stored side: once per representative via FeatureCache).
+/// consume(), into a scratch instance whose capacity carries over from the
+/// previous candidate; stored side: once per representative via
+/// FeatureCache).
 struct SegmentFeatures {
   std::vector<double> vec;  ///< Method-specific feature vector (the metric
                             ///< methods only; the element-wise methods walk
@@ -91,10 +94,31 @@ class SegmentStore {
   /// hash should not pay for it twice).
   SegmentId add(const Segment& segment, std::uint64_t signature);
 
-  /// Representatives whose signature matches `sig` (candidates still need a
-  /// `compatible` check to guard against hash collisions). Returns ids in
+  /// Slot of a signature no representative has.
+  static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
+
+  /// Dense slot of `sig`'s bucket, or kNoSlot. Each signature gets the next
+  /// slot on its first add, so slots run 0 .. bucketCount()-1 in order of
+  /// first appearance and never move until clear(). This is the one hash
+  /// probe of a candidate's match: policies keep their per-bucket state in
+  /// vectors indexed by slot and read the ids through bucketAt.
+  std::size_t slotOf(std::uint64_t sig) const {
+    const auto it = slots_.find(sig);
+    return it == slots_.end() ? kNoSlot : it->second;
+  }
+
+  /// Representatives in bucket `slot` (requires slot < bucketCount()), in
   /// store order — the paper's algorithm scans stored segments in order and
-  /// takes the first match.
+  /// takes the first match. Candidates still need a `compatible` check to
+  /// guard against hash collisions.
+  const std::vector<SegmentId>& bucketAt(std::size_t slot) const {
+    return buckets_[slot];
+  }
+
+  /// Distinct signatures stored: the number of slots.
+  std::size_t bucketCount() const { return buckets_.size(); }
+
+  /// bucketAt(slotOf(sig)), or an empty bucket when `sig` has no slot.
   const std::vector<SegmentId>& bucket(std::uint64_t sig) const;
 
   const Segment& segment(SegmentId id) const { return segments_.at(id); }
@@ -104,10 +128,11 @@ class SegmentStore {
   const std::vector<Segment>& all() const { return segments_; }
   std::vector<Segment> takeAll() && { return std::move(segments_); }
 
-  /// Removes every representative and bucket, and renews generation() so
-  /// any policy-side derived state (FeatureCache, match indexes) built
-  /// against this store invalidates itself instead of serving stale
-  /// features for the reused ids (regression-tested).
+  /// Removes every representative, bucket and slot, and renews
+  /// generation() so any policy-side derived state (FeatureCache, match
+  /// indexes, slot-indexed vectors) built against this store invalidates
+  /// itself instead of serving stale features for the reused ids and slots
+  /// (regression-tested).
   void clear();
 
   /// Process-unique token identifying this store's current id space (new
@@ -116,7 +141,8 @@ class SegmentStore {
 
  private:
   std::vector<Segment> segments_;
-  std::unordered_map<std::uint64_t, std::vector<SegmentId>> buckets_;
+  std::unordered_map<std::uint64_t, std::size_t> slots_;  ///< Signature -> slot.
+  std::vector<std::vector<SegmentId>> buckets_;           ///< Indexed by slot.
   std::uint64_t generation_;
   static const std::vector<SegmentId> kEmpty;
 };

@@ -32,36 +32,37 @@ double endKey(const Segment& s) { return std::fabs(static_cast<double>(s.end)); 
 // DistancePolicy
 
 std::optional<SegmentId> DistancePolicy::tryMatch(const Segment& candidate,
+                                                  std::uint64_t signature,
                                                   SegmentStore& store) {
-  return queryBucket(candidate, store, syncBucket(candidate.signature(), store),
-                     counters_);
+  return queryBucket(candidate, store, syncBucket(signature, store), counters_, scratch_);
 }
 
-void DistancePolicy::sync(const Segment& candidate, const SegmentStore& store) {
-  syncBucket(candidate.signature(), store);
+void DistancePolicy::sync(std::uint64_t signature, const SegmentStore& store) {
+  syncBucket(signature, store);
 }
 
 std::optional<SegmentId> DistancePolicy::query(const Segment& candidate,
+                                               std::uint64_t signature,
                                                const SegmentStore& store,
-                                               MatchCounters& counters) const {
+                                               MatchCounters& counters,
+                                               SegmentFeatures& scratch) const {
   if (boundStore_ != &store || boundGeneration_ != store.generation())
     throw std::logic_error(name() + ": query on a store the policy is not synced to");
-  const std::uint64_t signature = candidate.signature();
-  SyncedBucket bucket{store.bucket(signature)};
-  if (!bucket.ids.empty()) {
-    // The index must hold every bucket entry: one that missed the last sync
-    // would silently never be compared.
-    const auto synced = [&](const auto& index, const auto& map) {
-      if (index == map.end() || index->second.entries() != bucket.ids.size())
-        throw std::logic_error(name() + ": query on a bucket that grew since its sync");
-      return &index->second;
-    };
-    if (indexKind() == IndexKind::kMetricPivot)
-      bucket.metric = synced(metricIndex_.find(signature), metricIndex_);
-    else if (bucket.ids.size() >= EndIntervalIndex::kActivation)
-      bucket.end = synced(endIndex_.find(signature), endIndex_);
-  }
-  return queryBucket(candidate, store, bucket, counters);
+  const std::size_t slot = store.slotOf(signature);
+  if (slot == SegmentStore::kNoSlot) return std::nullopt;
+  SyncedBucket bucket{store.bucketAt(slot)};
+  // The index must hold every bucket entry: one that missed the last sync
+  // would silently never be compared.
+  const auto synced = [&](const auto& indexes) {
+    if (slot >= indexes.size() || indexes[slot].entries() != bucket.ids.size())
+      throw std::logic_error(name() + ": query on a bucket that grew since its sync");
+    return &indexes[slot];
+  };
+  if (indexKind() == IndexKind::kMetricPivot)
+    bucket.metric = synced(metricIndex_);
+  else if (bucket.ids.size() >= EndIntervalIndex::kActivation)
+    bucket.end = synced(endIndex_);
+  return queryBucket(candidate, store, bucket, counters, scratch);
 }
 
 DistancePolicy::SyncedBucket DistancePolicy::syncBucket(std::uint64_t signature,
@@ -70,19 +71,23 @@ DistancePolicy::SyncedBucket DistancePolicy::syncBucket(std::uint64_t signature,
   // when the candidate found nothing to compare against, and the cache it
   // writes must not mix id spaces.
   bindStore(store);
-  SyncedBucket bucket{store.bucket(signature)};
-  if (bucket.ids.empty()) return bucket;
+  const std::size_t slot = store.slotOf(signature);
+  if (slot == SegmentStore::kNoSlot) return {};
+  const std::vector<SegmentId>& ids = store.bucketAt(slot);
+  SyncedBucket bucket{ids};
 
   if (indexKind() == IndexKind::kEndInterval) {
     // Element-wise methods prepare nothing per entry; the index serves only
     // buckets at its activation population.
-    if (bucket.ids.size() < EndIntervalIndex::kActivation) return bucket;
-    EndIntervalIndex& index = endIndex_[signature];
-    index.sync(bucket.ids, [&](SegmentId id) { return endKey(store.segment(id)); });
+    if (ids.size() < EndIntervalIndex::kActivation) return bucket;
+    if (endIndex_.size() <= slot) endIndex_.resize(store.bucketCount());
+    EndIntervalIndex& index = endIndex_[slot];
+    index.sync(ids, [&](SegmentId id) { return endKey(store.segment(id)); });
     bucket.end = &index;
   } else {
-    MetricBucketIndex& index = metricIndex_[signature];
-    index.sync(bucket.ids,
+    if (metricIndex_.size() <= slot) metricIndex_.resize(store.bucketCount());
+    MetricBucketIndex& index = metricIndex_[slot];
+    index.sync(ids,
                [&](SegmentId id) -> const SegmentFeatures& {
                  return cache_.getOrCompute(id, [&] { return features(store.segment(id)); });
                },
@@ -98,8 +103,9 @@ DistancePolicy::SyncedBucket DistancePolicy::syncBucket(std::uint64_t signature,
 std::optional<SegmentId> DistancePolicy::queryBucket(const Segment& candidate,
                                                      const SegmentStore& store,
                                                      const SyncedBucket& bucket,
-                                                     MatchCounters& counters) const {
-  const std::vector<SegmentId>& ids = bucket.ids;
+                                                     MatchCounters& counters,
+                                                     SegmentFeatures& scratch) const {
+  const std::span<const SegmentId> ids = bucket.ids;
   if (ids.empty()) return std::nullopt;
   if (indexKind() == IndexKind::kEndInterval) {
     // Store-order walk over the entries `admits` keeps — the Sec. 3.1 loop's
@@ -140,7 +146,8 @@ std::optional<SegmentId> DistancePolicy::queryBucket(const Segment& candidate,
   const auto featuresOf = [&](SegmentId id) -> const SegmentFeatures& {
     return cache_.get(id);
   };
-  const SegmentFeatures fc = features(candidate);
+  featuresInto(candidate, scratch);
+  const SegmentFeatures& fc = scratch;
   return bucket.metric->query(
       fc, indexThreshold(), featuresOf,
       [this](const SegmentFeatures& fa, const SegmentFeatures& fb) {
@@ -184,8 +191,15 @@ void DistancePolicy::bindStore(const SegmentStore& store) {
   boundGeneration_ = store.generation();
 }
 
-SegmentFeatures DistancePolicy::features(const Segment&) const {
-  throw std::logic_error(name() + ": features requires a kMetricPivot policy");
+SegmentFeatures DistancePolicy::features(const Segment& s) const {
+  SegmentFeatures f;
+  featuresInto(s, f);
+  f.vec.shrink_to_fit();  // cached for the store's lifetime: drop any work space
+  return f;
+}
+
+void DistancePolicy::featuresInto(const Segment&, SegmentFeatures&) const {
+  throw std::logic_error(name() + ": featuresInto requires a kMetricPivot policy");
 }
 
 double DistancePolicy::pairDistance(const SegmentFeatures&,
@@ -261,9 +275,9 @@ bool MinkowskiPolicy::similar(const Segment& a, const Segment& b) const {
   return similarPrepared(a, features(a), b, features(b));
 }
 
-SegmentFeatures MinkowskiPolicy::features(const Segment& s) const {
-  SegmentFeatures f;
-  f.vec = distanceVector(s);
+void MinkowskiPolicy::featuresInto(const Segment& s, SegmentFeatures& f) const {
+  f.vec.resize(1 + 2 * s.events.size());
+  writeDistanceVector(s, f.vec);
   f.maxAbs = maxAbsOf(f.vec);
   switch (order_) {
     case Order::kManhattan: {
@@ -275,7 +289,6 @@ SegmentFeatures MinkowskiPolicy::features(const Segment& s) const {
     case Order::kEuclidean: f.norm = l2Norm(f.vec); break;
     case Order::kChebyshev: f.norm = f.maxAbs; break;
   }
-  return f;
 }
 
 bool MinkowskiPolicy::similarPrepared(const Segment&, const SegmentFeatures& fa,
@@ -294,22 +307,25 @@ double MinkowskiPolicy::pairDistance(const SegmentFeatures& fa,
 // ---------------------------------------------------------------------------
 // Wavelet methods
 
-std::vector<double> WaveletPolicy::transform(const Segment& s) const {
-  std::vector<double> v = wavelet::padToPow2(waveletVector(s));
-  return kind_ == Kind::kAverage ? wavelet::avgTransform(std::move(v))
-                                 : wavelet::haarTransform(std::move(v));
-}
-
 bool WaveletPolicy::similar(const Segment& a, const Segment& b) const {
   return similarPrepared(a, features(a), b, features(b));
 }
 
-SegmentFeatures WaveletPolicy::features(const Segment& s) const {
-  SegmentFeatures f;
-  f.vec = transform(s);
+void WaveletPolicy::featuresInto(const Segment& s, SegmentFeatures& f) const {
+  // One buffer: the padded time-stamp vector, then half its length of
+  // transform work space, dropped (capacity kept) once the pyramid is done.
+  const std::size_t n = wavelet::nextPow2(2 + 2 * s.events.size());
+  f.vec.resize(n + n / 2);
+  const std::span<double> signal(f.vec.data(), n);
+  const std::span<double> work(f.vec.data() + n, n / 2);
+  writeWaveletVector(s, signal);
+  if (kind_ == Kind::kAverage)
+    wavelet::avgTransformInPlace(signal, work);
+  else
+    wavelet::haarTransformInPlace(signal, work);
+  f.vec.resize(n);
   f.maxAbs = maxAbsOf(f.vec);
   f.norm = l2Norm(f.vec);
-  return f;
 }
 
 bool WaveletPolicy::similarPrepared(const Segment&, const SegmentFeatures& fa,
@@ -339,21 +355,22 @@ void IterKPolicy::beginRank() {
 }
 
 std::optional<SegmentId> IterKPolicy::tryMatch(const Segment& candidate,
+                                               std::uint64_t signature,
                                                SegmentStore& store) {
-  const std::uint64_t signature = candidate.signature();
-  const auto& bucket = store.bucket(signature);
-
   if (boundStore_ != &store || boundGeneration_ != store.generation()) {
     classIndex_.clear();
     boundStore_ = &store;
     boundGeneration_ = store.generation();
   }
+  const std::size_t slot = store.slotOf(signature);
+  if (slot == SegmentStore::kNoSlot) return std::nullopt;
   // Compatibility is an equivalence relation, so one comparison per class
   // exemplar answers both "how many compatible representatives exist" and
   // "which was stored last" — identical to the counting loop's result.
-  CompatClassIndex& index = classIndex_[signature];
+  if (classIndex_.size() <= slot) classIndex_.resize(store.bucketCount());
+  CompatClassIndex& index = classIndex_[slot];
   index.sync(
-      bucket,
+      store.bucketAt(slot),
       [&](SegmentId a, SegmentId b) {
         return store.segment(a).compatible(store.segment(b));
       },
@@ -373,27 +390,27 @@ std::optional<SegmentId> IterKPolicy::tryMatch(const Segment& candidate,
 
 namespace {
 
-std::vector<double> measurements(const Segment& s) {
-  std::vector<double> v;
-  v.reserve(2 * s.events.size() + 1);
+/// Calls `f(i, m_i)` for each measurement m = [e0.start, e0.end, ..., end].
+template <typename F>
+void forEachMeasurement(const Segment& s, F&& f) {
+  std::size_t i = 0;
   for (const auto& e : s.events) {
-    v.push_back(static_cast<double>(e.start));
-    v.push_back(static_cast<double>(e.end));
+    f(i++, static_cast<double>(e.start));
+    f(i++, static_cast<double>(e.end));
   }
-  v.push_back(static_cast<double>(s.end));
-  return v;
+  f(i, static_cast<double>(s.end));
 }
 
 }  // namespace
 
 std::optional<SegmentId> IterAvgPolicy::tryMatch(const Segment& candidate,
+                                                 std::uint64_t signature,
                                                  SegmentStore& store) {
-  for (SegmentId id : store.bucket(candidate.signature())) {
+  for (SegmentId id : store.bucket(signature)) {
     ++counters_.comparisons;
     if (!candidate.compatible(store.segment(id))) continue;
     Acc& a = acc_.at(id);
-    const std::vector<double> m = measurements(candidate);
-    for (std::size_t i = 0; i < m.size(); ++i) a.sums[i] += m[i];
+    forEachMeasurement(candidate, [&](std::size_t i, double m) { a.sums[i] += m; });
     ++a.count;
     return id;
   }
@@ -402,8 +419,10 @@ std::optional<SegmentId> IterAvgPolicy::tryMatch(const Segment& candidate,
 
 void IterAvgPolicy::onStored(const Segment& segment, SegmentId id) {
   if (acc_.size() <= id) acc_.resize(id + 1);
-  acc_[id].sums = measurements(segment);
-  acc_[id].count = 1;
+  Acc& a = acc_[id];
+  a.sums.resize(2 * segment.events.size() + 1);
+  forEachMeasurement(segment, [&](std::size_t i, double m) { a.sums[i] = m; });
+  a.count = 1;
 }
 
 void IterAvgPolicy::finishRank(SegmentStore& store) {

@@ -29,8 +29,8 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/match_index.hpp"
@@ -51,10 +51,15 @@ class SimilarityPolicy {
   /// Called when the reducer starts a new rank with a fresh store.
   virtual void beginRank() {}
 
-  /// Attempts to match `candidate` against `store`. Returns the id of the
-  /// matched representative, or nullopt if the candidate must be stored as a
-  /// new representative. May mutate stored segments (iter_avg).
+  /// Attempts to match `candidate` against `store`. `signature` is
+  /// candidate.signature(), computed once by the caller (the hash walks the
+  /// whole event list) and shared with the store's insert on a miss; a
+  /// policy never rehashes the candidate. Returns the id of the matched
+  /// representative — always one of the candidate's bucket — or nullopt if
+  /// the candidate must be stored as a new representative. May mutate
+  /// stored segments (iter_avg).
   virtual std::optional<SegmentId> tryMatch(const Segment& candidate,
+                                            std::uint64_t signature,
                                             SegmentStore& store) = 0;
 
   /// Called after the reducer stored `id` for an unmatched candidate (lets
@@ -82,40 +87,56 @@ class SimilarityPolicy {
 /// (context/length/id compatibility is checked via the signature bucket plus
 /// an explicit `compatible` guard).
 ///
-/// The metric methods compute the candidate's features once per tryMatch and
-/// read stored features from the FeatureCache (populated in onStored, filled
-/// by sync for representatives added behind the policy's back). Each bucket
-/// keeps a MetricBucketIndex (metric methods) or EndIntervalIndex
-/// (element-wise methods), synced lazily against the store's bucket, and
-/// only the candidates the index admits are visited. The first accepted id
-/// is the literal loop's.
+/// The metric methods compute the candidate's features once per tryMatch,
+/// into a scratch SegmentFeatures whose capacity is reused from candidate to
+/// candidate, and read stored features from the FeatureCache (populated in
+/// onStored, filled by sync for representatives added behind the policy's
+/// back). Each bucket keeps a MetricBucketIndex (metric methods) or
+/// EndIntervalIndex (element-wise methods), held in a vector indexed by the
+/// store's bucket slot and synced lazily against the bucket, and only the
+/// candidates the index admits are visited. The first accepted id is the
+/// literal loop's.
 ///
 /// Matching is two steps: `sync` (mutable: bind the store, fill the cache,
 /// fold new bucket entries into the bucket's index) and `query` (const: the
 /// index lookup against the synced state). tryMatch is sync + query over one
-/// index lookup; the cross-rank merger syncs a shard's buckets serially and
-/// then queries them from many threads at once.
+/// slot lookup, with the policy's own feature scratch; the cross-rank merger
+/// syncs a shard's buckets serially and then queries them from many threads
+/// at once, each with its own scratch.
 class DistancePolicy : public SimilarityPolicy {
  public:
-  std::optional<SegmentId> tryMatch(const Segment& candidate,
+  std::optional<SegmentId> tryMatch(const Segment& candidate, std::uint64_t signature,
                                     SegmentStore& store) override;
   void beginRank() override { resetDerivedState(); }
   void onStored(const Segment& segment, SegmentId id) override;
 
-  /// Mutable half of tryMatch: binds `store` (discarding derived state built
-  /// against another store or generation), fills the FeatureCache for the
-  /// candidate's bucket, and folds the bucket's new entries into its index.
-  /// Index upkeep counts into matchCounters().
-  void sync(const Segment& candidate, const SegmentStore& store);
+  /// Mutable half of tryMatch for the bucket of `signature` (a candidate's
+  /// signature()): binds `store` (discarding derived state built against
+  /// another store or generation), fills the FeatureCache for the bucket,
+  /// and folds the bucket's new entries into its index. Index upkeep counts
+  /// into matchCounters().
+  void sync(std::uint64_t signature, const SegmentStore& store);
 
   /// Read-only half of tryMatch: the first representative (store order) in
-  /// the candidate's bucket that passes the ≈ test, decided against the
-  /// state the last sync left. Counts into `counters`, never into the
-  /// policy's own, so concurrent queries are safe while nothing syncs.
+  /// the bucket of `signature` (candidate.signature()) that passes the ≈
+  /// test, decided against the state the last sync left. The candidate's
+  /// features are computed into `scratch`, which the caller owns and may
+  /// reuse across queries (no allocation once it is warm). Counts into
+  /// `counters`, never into the policy's own, so concurrent queries — each
+  /// with its own scratch and counters — are safe while nothing syncs.
   /// Throws std::logic_error when the policy is not bound to `store` or the
   /// bucket grew since its last sync.
-  std::optional<SegmentId> query(const Segment& candidate, const SegmentStore& store,
-                                 MatchCounters& counters) const;
+  std::optional<SegmentId> query(const Segment& candidate, std::uint64_t signature,
+                                 const SegmentStore& store, MatchCounters& counters,
+                                 SegmentFeatures& scratch) const;
+
+  /// kMetricPivot only (throws std::logic_error otherwise): writes `s`'s
+  /// derived features (vector + norms) into `out`, reusing its capacity.
+  /// Every field is overwritten, so a scratch last filled from any other
+  /// segment gives the same bits as a fresh SegmentFeatures. The
+  /// element-wise methods never prepare features — their only derivable
+  /// datum is the O(1) segment end, read directly by their index.
+  virtual void featuresInto(const Segment& s, SegmentFeatures& out) const;
 
   /// The ≈ test between two compatible segments — the literal slow path,
   /// recomputing any derived data per pair.
@@ -131,10 +152,9 @@ class DistancePolicy : public SimilarityPolicy {
   };
   virtual IndexKind indexKind() const = 0;
 
-  /// kMetricPivot only: derived features of one segment (vector + norms) for
-  /// the index. The element-wise methods never prepare features — their only
-  /// derivable datum is the O(1) segment end, read directly by their index.
-  virtual SegmentFeatures features(const Segment& s) const;
+  /// featuresInto a fresh SegmentFeatures, trimmed to its length: the
+  /// stored side's cache entry and the slow path's per-pair features.
+  SegmentFeatures features(const Segment& s) const;
 
   /// The ≈ test with both sides' features already prepared. Must be
   /// arithmetically identical to `similar`. Defaults to ignoring the
@@ -161,10 +181,11 @@ class DistancePolicy : public SimilarityPolicy {
   virtual KeyWindow admissibleEndWindow(double candEnd) const;
 
  private:
-  /// One bucket as sync left it: its ids plus the index serving it (null
-  /// while the bucket is below activation).
+  /// One bucket as sync left it: its ids (empty when the signature has no
+  /// slot) plus the index serving it (null while the bucket is below
+  /// activation).
   struct SyncedBucket {
-    const std::vector<SegmentId>& ids;
+    std::span<const SegmentId> ids;
     const MetricBucketIndex* metric = nullptr;
     const EndIntervalIndex* end = nullptr;
   };
@@ -173,7 +194,8 @@ class DistancePolicy : public SimilarityPolicy {
   std::optional<SegmentId> queryBucket(const Segment& candidate,
                                        const SegmentStore& store,
                                        const SyncedBucket& bucket,
-                                       MatchCounters& counters) const;
+                                       MatchCounters& counters,
+                                       SegmentFeatures& scratch) const;
 
   /// pairDistance for the index: NaN for vectors of different lengths
   /// (signature collisions), so no pivot bound prunes on them.
@@ -187,8 +209,9 @@ class DistancePolicy : public SimilarityPolicy {
   void bindStore(const SegmentStore& store);
 
   FeatureCache cache_;  ///< Stored-side features, indexed by SegmentId.
-  std::unordered_map<std::uint64_t, MetricBucketIndex> metricIndex_;
-  std::unordered_map<std::uint64_t, EndIntervalIndex> endIndex_;
+  std::vector<MetricBucketIndex> metricIndex_;  ///< Indexed by store slot.
+  std::vector<EndIntervalIndex> endIndex_;      ///< Indexed by store slot.
+  SegmentFeatures scratch_;  ///< tryMatch's candidate features.
   const SegmentStore* boundStore_ = nullptr;
   std::uint64_t boundGeneration_ = 0;
 };
@@ -246,10 +269,11 @@ class MinkowskiPolicy final : public DistancePolicy {
   static double distance(Order order, const std::vector<double>& a,
                          const std::vector<double>& b);
 
+  void featuresInto(const Segment& s, SegmentFeatures& out) const override;
+
  protected:
   IndexKind indexKind() const override { return IndexKind::kMetricPivot; }
   bool similar(const Segment& a, const Segment& b) const override;
-  SegmentFeatures features(const Segment& s) const override;
   bool similarPrepared(const Segment& a, const SegmentFeatures& fa,
                        const Segment& b, const SegmentFeatures& fb) const override;
   double pairDistance(const SegmentFeatures& fa,
@@ -273,13 +297,12 @@ class WaveletPolicy final : public DistancePolicy {
   WaveletPolicy(Kind kind, double threshold) : kind_(kind), threshold_(threshold) {}
   std::string name() const override { return kind_ == Kind::kAverage ? "avgWave" : "haarWave"; }
 
-  /// The padded, transformed coefficient vector for a segment.
-  std::vector<double> transform(const Segment& s) const;
+  /// The padded, transformed coefficient vector is the features' `vec`.
+  void featuresInto(const Segment& s, SegmentFeatures& out) const override;
 
  protected:
   IndexKind indexKind() const override { return IndexKind::kMetricPivot; }
   bool similar(const Segment& a, const Segment& b) const override;
-  SegmentFeatures features(const Segment& s) const override;
   bool similarPrepared(const Segment& a, const SegmentFeatures& fa,
                        const Segment& b, const SegmentFeatures& fb) const override;
   double pairDistance(const SegmentFeatures& fa,
@@ -297,7 +320,8 @@ class WaveletPolicy final : public DistancePolicy {
 /// with the most recent collected segment.
 ///
 /// tryMatch answers from a per-bucket CompatClassIndex (count + last member
-/// per compatibility class) instead of re-scanning the bucket.
+/// per compatibility class, kept in a vector indexed by store slot) instead
+/// of re-scanning the bucket.
 class IterKPolicy final : public SimilarityPolicy {
  public:
   /// Throws std::invalid_argument when k < 1 (k <= 0 would "match" against
@@ -305,13 +329,14 @@ class IterKPolicy final : public SimilarityPolicy {
   explicit IterKPolicy(int k);
   std::string name() const override { return "iter_k"; }
   void beginRank() override;
-  std::optional<SegmentId> tryMatch(const Segment& candidate, SegmentStore& store) override;
+  std::optional<SegmentId> tryMatch(const Segment& candidate, std::uint64_t signature,
+                                    SegmentStore& store) override;
 
   int k() const { return k_; }
 
  private:
   int k_;
-  std::unordered_map<std::uint64_t, CompatClassIndex> classIndex_;
+  std::vector<CompatClassIndex> classIndex_;  ///< Indexed by store slot.
   const SegmentStore* boundStore_ = nullptr;
   std::uint64_t boundGeneration_ = 0;
 };
@@ -324,7 +349,8 @@ class IterAvgPolicy final : public SimilarityPolicy {
  public:
   std::string name() const override { return "iter_avg"; }
   void beginRank() override { acc_.clear(); }
-  std::optional<SegmentId> tryMatch(const Segment& candidate, SegmentStore& store) override;
+  std::optional<SegmentId> tryMatch(const Segment& candidate, std::uint64_t signature,
+                                    SegmentStore& store) override;
   void onStored(const Segment& segment, SegmentId id) override;
   void finishRank(SegmentStore& store) override;
 

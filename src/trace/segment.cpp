@@ -1,5 +1,9 @@
 #include "trace/segment.hpp"
 
+#include <algorithm>
+#include <cassert>
+#include <cstddef>
+
 namespace tracered {
 
 bool Segment::compatible(const Segment& other) const {
@@ -35,26 +39,37 @@ std::uint64_t Segment::signature() const {
 }
 
 std::vector<double> distanceVector(const Segment& s) {
-  std::vector<double> v;
-  v.reserve(1 + 2 * s.events.size());
-  v.push_back(static_cast<double>(s.end));
-  for (const auto& e : s.events) {
-    v.push_back(static_cast<double>(e.start));
-    v.push_back(static_cast<double>(e.end));
-  }
+  std::vector<double> v(1 + 2 * s.events.size());
+  writeDistanceVector(s, v);
   return v;
 }
 
-std::vector<double> waveletVector(const Segment& s) {
-  std::vector<double> v;
-  v.reserve(2 + 2 * s.events.size());
-  v.push_back(0.0);  // relative segment start
+void writeDistanceVector(const Segment& s, std::span<double> out) {
+  assert(out.size() == 1 + 2 * s.events.size());
+  std::size_t i = 0;
+  out[i++] = static_cast<double>(s.end);
   for (const auto& e : s.events) {
-    v.push_back(static_cast<double>(e.start));
-    v.push_back(static_cast<double>(e.end));
+    out[i++] = static_cast<double>(e.start);
+    out[i++] = static_cast<double>(e.end);
   }
-  v.push_back(static_cast<double>(s.end));
+}
+
+std::vector<double> waveletVector(const Segment& s) {
+  std::vector<double> v(2 + 2 * s.events.size());
+  writeWaveletVector(s, v);
   return v;
+}
+
+void writeWaveletVector(const Segment& s, std::span<double> out) {
+  assert(out.size() >= 2 + 2 * s.events.size());
+  std::size_t i = 0;
+  out[i++] = 0.0;  // relative segment start
+  for (const auto& e : s.events) {
+    out[i++] = static_cast<double>(e.start);
+    out[i++] = static_cast<double>(e.end);
+  }
+  out[i++] = static_cast<double>(s.end);
+  std::fill(out.begin() + static_cast<std::ptrdiff_t>(i), out.end(), 0.0);
 }
 
 }  // namespace tracered

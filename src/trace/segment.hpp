@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "trace/event.hpp"
@@ -41,10 +42,19 @@ struct Segment {
 /// first, then each event's start and end.
 std::vector<double> distanceVector(const Segment& s);
 
+/// distanceVector written into `out`, which must hold exactly
+/// 1 + 2 * s.events.size() elements.
+void writeDistanceVector(const Segment& s, std::span<double> out);
+
 /// Measurement vector in the order used by the wavelet methods (Sec. 3.2.1):
 /// segment (relative) start 0 first, then each event's entry and exit, then
 /// the segment exit. Not yet padded; see wavelet::padToPow2.
 std::vector<double> waveletVector(const Segment& s);
+
+/// waveletVector written into the front of `out` (at least
+/// 2 + 2 * s.events.size() elements), with the rest of `out` zeroed — the
+/// padded vector in one pass when `out` has the padded length.
+void writeWaveletVector(const Segment& s, std::span<double> out);
 
 /// Paired per-measurement iteration used by relDiff/absDiff: calls
 /// `f(a_i, b_i)` for every corresponding measurement (event starts/ends, then

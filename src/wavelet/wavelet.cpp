@@ -1,8 +1,10 @@
 #include "wavelet/wavelet.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace tracered::wavelet {
 
@@ -12,42 +14,72 @@ constexpr double kSqrt2 = 1.4142135623730951;
 
 bool isPow2(std::size_t n) { return n != 0 && (n & (n - 1)) == 0; }
 
-void requirePow2(const std::vector<double>& v, const char* who) {
-  if (!isPow2(v.size()))
+void requirePow2(std::size_t n, const char* who) {
+  if (!isPow2(n))
     throw std::invalid_argument(std::string(who) + ": length must be a power of two");
 }
 
-template <typename Fwd>
-std::vector<double> pyramid(std::vector<double> v, Fwd step) {
-  requirePow2(v, "wavelet transform");
-  for (std::size_t len = v.size(); len >= 2; len /= 2) step(v, len);
-  return v;
-}
-
-void avgInverseStep(std::vector<double>& v, std::size_t len) {
-  std::vector<double> tmp(len);
+// One forward level: trend i is written over v[i] (pair i reads v[2i] and
+// v[2i+1], which no earlier pair has overwritten), detail i goes to scratch
+// and is copied behind the trends once every pair has been read.
+template <typename Pair>
+void forwardStep(std::span<double> v, std::size_t len, std::span<double> scratch,
+                 Pair pair) {
+  assert(len % 2 == 0 && len <= v.size() && scratch.size() >= len / 2);
   const std::size_t half = len / 2;
-  for (std::size_t i = 0; i < half; ++i) {
-    tmp[2 * i] = v[i] + v[half + i];
-    tmp[2 * i + 1] = v[i] - v[half + i];
-  }
-  for (std::size_t i = 0; i < len; ++i) v[i] = tmp[i];
+  for (std::size_t i = 0; i < half; ++i) pair(v[2 * i], v[2 * i + 1], v[i], scratch[i]);
+  std::copy_n(scratch.begin(), half, v.begin() + half);
 }
 
-void haarInverseStep(std::vector<double>& v, std::size_t len) {
-  std::vector<double> tmp(len);
+// One inverse level: the details move to scratch, then pairs are rebuilt
+// from the last down, so v[i] is read before positions 2i and 2i+1 (both
+// >= i) are written.
+template <typename Pair>
+void inverseStep(std::span<double> v, std::size_t len, std::span<double> scratch,
+                 Pair pair) {
+  assert(len % 2 == 0 && len <= v.size() && scratch.size() >= len / 2);
   const std::size_t half = len / 2;
-  for (std::size_t i = 0; i < half; ++i) {
-    tmp[2 * i] = (v[i] + v[half + i]) / kSqrt2;
-    tmp[2 * i + 1] = (v[i] - v[half + i]) / kSqrt2;
-  }
-  for (std::size_t i = 0; i < len; ++i) v[i] = tmp[i];
+  std::copy_n(v.begin() + half, half, scratch.begin());
+  for (std::size_t i = half; i-- > 0;) pair(v[i], scratch[i], v[2 * i], v[2 * i + 1]);
 }
 
-template <typename Inv>
-std::vector<double> inversePyramid(std::vector<double> v, Inv step) {
-  requirePow2(v, "wavelet inverse");
-  for (std::size_t len = 2; len <= v.size(); len *= 2) step(v, len);
+constexpr auto avgPair = [](double a, double b, double& trend, double& detail) {
+  trend = (a + b) / 2.0;
+  detail = (a - b) / 2.0;
+};
+
+constexpr auto haarPair = [](double a, double b, double& trend, double& detail) {
+  trend = (a + b) / kSqrt2;
+  detail = (a - b) / kSqrt2;
+};
+
+constexpr auto avgInversePair = [](double t, double d, double& a, double& b) {
+  a = t + d;
+  b = t - d;
+};
+
+constexpr auto haarInversePair = [](double t, double d, double& a, double& b) {
+  a = (t + d) / kSqrt2;
+  b = (t - d) / kSqrt2;
+};
+
+template <typename Pair>
+void pyramid(std::span<double> v, std::span<double> scratch, Pair pair) {
+  requirePow2(v.size(), "wavelet transform");
+  for (std::size_t len = v.size(); len >= 2; len /= 2) forwardStep(v, len, scratch, pair);
+}
+
+template <typename Pair>
+void inversePyramid(std::span<double> v, std::span<double> scratch, Pair pair) {
+  requirePow2(v.size(), "wavelet inverse");
+  for (std::size_t len = 2; len <= v.size(); len *= 2) inverseStep(v, len, scratch, pair);
+}
+
+/// Runs an in-place form on a vector with a freshly allocated scratch.
+template <typename InPlace>
+std::vector<double> withScratch(std::vector<double> v, InPlace inPlace) {
+  std::vector<double> scratch(v.size() / 2);
+  inPlace(v, scratch);
   return v;
 }
 
@@ -65,43 +97,45 @@ std::vector<double> padToPow2(std::vector<double> v) {
 }
 
 void avgStep(std::vector<double>& v, std::size_t len) {
-  assert(len % 2 == 0 && len <= v.size());
-  std::vector<double> tmp(len);
-  const std::size_t half = len / 2;
-  for (std::size_t i = 0; i < half; ++i) {
-    tmp[i] = (v[2 * i] + v[2 * i + 1]) / 2.0;
-    tmp[half + i] = (v[2 * i] - v[2 * i + 1]) / 2.0;
-  }
-  for (std::size_t i = 0; i < len; ++i) v[i] = tmp[i];
+  std::vector<double> scratch(len / 2);
+  forwardStep(v, len, scratch, avgPair);
 }
 
 void haarStep(std::vector<double>& v, std::size_t len) {
-  assert(len % 2 == 0 && len <= v.size());
-  std::vector<double> tmp(len);
-  const std::size_t half = len / 2;
-  for (std::size_t i = 0; i < half; ++i) {
-    tmp[i] = (v[2 * i] + v[2 * i + 1]) / kSqrt2;
-    tmp[half + i] = (v[2 * i] - v[2 * i + 1]) / kSqrt2;
-  }
-  for (std::size_t i = 0; i < len; ++i) v[i] = tmp[i];
+  std::vector<double> scratch(len / 2);
+  forwardStep(v, len, scratch, haarPair);
+}
+
+void avgTransformInPlace(std::span<double> v, std::span<double> scratch) {
+  pyramid(v, scratch, avgPair);
+}
+
+void haarTransformInPlace(std::span<double> v, std::span<double> scratch) {
+  pyramid(v, scratch, haarPair);
+}
+
+void avgInverseInPlace(std::span<double> v, std::span<double> scratch) {
+  inversePyramid(v, scratch, avgInversePair);
+}
+
+void haarInverseInPlace(std::span<double> v, std::span<double> scratch) {
+  inversePyramid(v, scratch, haarInversePair);
 }
 
 std::vector<double> avgTransform(std::vector<double> v) {
-  return pyramid(std::move(v), [](std::vector<double>& x, std::size_t len) { avgStep(x, len); });
+  return withScratch(std::move(v), avgTransformInPlace);
 }
 
 std::vector<double> haarTransform(std::vector<double> v) {
-  return pyramid(std::move(v), [](std::vector<double>& x, std::size_t len) { haarStep(x, len); });
+  return withScratch(std::move(v), haarTransformInPlace);
 }
 
 std::vector<double> avgInverse(std::vector<double> v) {
-  return inversePyramid(std::move(v),
-                        [](std::vector<double>& x, std::size_t len) { avgInverseStep(x, len); });
+  return withScratch(std::move(v), avgInverseInPlace);
 }
 
 std::vector<double> haarInverse(std::vector<double> v) {
-  return inversePyramid(std::move(v),
-                        [](std::vector<double>& x, std::size_t len) { haarInverseStep(x, len); });
+  return withScratch(std::move(v), haarInverseInPlace);
 }
 
 double euclideanDistance(const std::vector<double>& a, const std::vector<double>& b) {

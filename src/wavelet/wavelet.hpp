@@ -13,9 +13,15 @@
 // The Haar variant is exactly the average variant with every level's outputs
 // multiplied by sqrt(2), as the paper notes; it preserves the Euclidean
 // distance between signals, the average transform does not.
+//
+// The span forms work in place over a caller-owned scratch span of at least
+// half the signal's length and never allocate; the matching hot path runs
+// them once per candidate segment. The std::vector forms are thin wrappers
+// that allocate their own scratch, with bit-identical results.
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 namespace tracered::wavelet {
@@ -29,12 +35,20 @@ std::size_t nextPow2(std::size_t n);
 /// we pad only when needed.
 std::vector<double> padToPow2(std::vector<double> v);
 
-/// One decomposition level of the average transform: first half trends,
-/// second half details. Requires even length.
+/// One decomposition level of the average transform over v[0, len): first
+/// half trends, second half details. Requires even `len <= v.size()`.
 void avgStep(std::vector<double>& v, std::size_t len);
 
-/// One decomposition level of the Haar transform. Requires even length.
+/// One decomposition level of the Haar transform (same layout and
+/// requirements as avgStep).
 void haarStep(std::vector<double>& v, std::size_t len);
+
+/// Full pyramid decompositions and their inverses, in place. Require a
+/// power-of-two `v.size()` and `scratch.size() >= v.size() / 2`.
+void avgTransformInPlace(std::span<double> v, std::span<double> scratch);
+void haarTransformInPlace(std::span<double> v, std::span<double> scratch);
+void avgInverseInPlace(std::span<double> v, std::span<double> scratch);
+void haarInverseInPlace(std::span<double> v, std::span<double> scratch);
 
 /// Full pyramid decomposition with the average transform.
 /// Requires power-of-two length (use padToPow2 first).

@@ -65,9 +65,9 @@ class ReferencePolicy final : public SimilarityPolicy {
   }
   void finishRank(SegmentStore& store) override { inner_->finishRank(store); }
 
-  std::optional<SegmentId> tryMatch(const Segment& candidate,
+  std::optional<SegmentId> tryMatch(const Segment& candidate, std::uint64_t signature,
                                     SegmentStore& store) override {
-    const std::vector<SegmentId>& bucket = store.bucket(candidate.signature());
+    const std::vector<SegmentId>& bucket = store.bucket(signature);
     if (const auto* dist = dynamic_cast<const DistancePolicy*>(inner_.get())) {
       for (SegmentId id : bucket) {
         ++counters_.comparisons;
@@ -90,7 +90,7 @@ class ReferencePolicy final : public SimilarityPolicy {
       if (compatibleCount < iterK->k()) return std::nullopt;  // still collecting
       return last;  // footnote 1: fill with the last collected segment
     }
-    const std::optional<SegmentId> match = inner_->tryMatch(candidate, store);
+    const std::optional<SegmentId> match = inner_->tryMatch(candidate, signature, store);
     counters_ = inner_->matchCounters();
     return match;
   }
@@ -203,7 +203,7 @@ TEST(MatchingCache, IndexExcludesDissimilarEntriesBeforeAnyExactComparison) {
   SegmentStore store;
   const SegmentId id = store.add(shortSeg);
   policy.onStored(store.segment(id), id);
-  EXPECT_FALSE(policy.tryMatch(longSeg, store).has_value());
+  EXPECT_FALSE(testing::tryMatch(policy, longSeg, store).has_value());
   EXPECT_EQ(policy.matchCounters().indexPruned, 1u);
   EXPECT_EQ(policy.matchCounters().indexVisited, 0u);
   EXPECT_EQ(policy.matchCounters().comparisons, 0u);  // never entered the window
@@ -221,7 +221,7 @@ TEST(MatchingCache, LazyFeatureFillServesStoresPopulatedBehindThePolicy) {
   policy.beginRank();
   SegmentStore store;
   store.add(a);  // no onStored
-  const auto match = policy.tryMatch(b, store);
+  const auto match = testing::tryMatch(policy, b, store);
   ASSERT_TRUE(match.has_value());
   EXPECT_EQ(*match, 0u);
 }
@@ -241,14 +241,14 @@ TEST(MatchingCache, StoreClearInvalidatesCachedFeaturesAndIndexes) {
   SegmentStore store;
   SegmentId id = store.add(original);
   policy.onStored(store.segment(id), id);
-  EXPECT_TRUE(policy.tryMatch(original, store).has_value());
+  EXPECT_TRUE(testing::tryMatch(policy, original, store).has_value());
 
   store.clear();
   id = store.add(replacement);  // reuses id 0
   policy.onStored(store.segment(id), id);
   // Stale features for the old id 0 would accept this match.
-  EXPECT_FALSE(policy.tryMatch(original, store).has_value());
-  EXPECT_TRUE(policy.tryMatch(replacement, store).has_value());
+  EXPECT_FALSE(testing::tryMatch(policy, original, store).has_value());
+  EXPECT_TRUE(testing::tryMatch(policy, replacement, store).has_value());
 
   // iter_k keeps its own class index keyed by id; the same invalidation
   // applies (a stale class count would claim k executions already exist).
@@ -257,9 +257,9 @@ TEST(MatchingCache, StoreClearInvalidatesCachedFeaturesAndIndexes) {
   SegmentStore iterStore;
   id = iterStore.add(original);
   iterK.onStored(iterStore.segment(id), id);
-  EXPECT_TRUE(iterK.tryMatch(original, iterStore).has_value());
+  EXPECT_TRUE(testing::tryMatch(iterK, original, iterStore).has_value());
   iterStore.clear();
-  EXPECT_FALSE(iterK.tryMatch(original, iterStore).has_value());
+  EXPECT_FALSE(testing::tryMatch(iterK, original, iterStore).has_value());
 }
 
 /// `n` compatible segments whose measurements grow by 10% per step, so a
@@ -288,10 +288,11 @@ TEST(MatchingCache, SyncThenQueryEqualsTryMatch) {
     auto& dist = dynamic_cast<DistancePolicy&>(*split);
     SegmentStore a, b;
     MatchCounters queried;
+    SegmentFeatures scratch;
     for (const Segment& s : segs) {
-      const auto want = whole->tryMatch(s, a);
-      dist.sync(s, b);
-      const auto got = dist.query(s, b, queried);
+      const auto want = testing::tryMatch(*whole, s, a);
+      dist.sync(s.signature(), b);
+      const auto got = dist.query(s, s.signature(), b, queried, scratch);
       ASSERT_EQ(got, want);
       if (!want) {
         const SegmentId ia = a.add(s);
@@ -320,18 +321,23 @@ TEST(MatchingCache, QueryFailsLoudlyWhenNotSynced) {
     SegmentStore store;
     for (const Segment& s : segs) store.add(s);  // behind the policy's back
     MatchCounters counters;
-    EXPECT_THROW((void)dist.query(segs[0], store, counters), std::logic_error);
+    SegmentFeatures scratch;
+    const std::uint64_t sig = segs[0].signature();
+    const auto query = [&](const SegmentStore& st) {
+      return dist.query(segs[0], sig, st, counters, scratch);
+    };
+    EXPECT_THROW((void)query(store), std::logic_error);
 
-    dist.sync(segs[0], store);
-    EXPECT_EQ(dist.query(segs[0], store, counters), std::optional<SegmentId>(0));
+    dist.sync(sig, store);
+    EXPECT_EQ(query(store), std::optional<SegmentId>(0));
     SegmentStore other;
     other.add(segs[0]);
-    EXPECT_THROW((void)dist.query(segs[0], other, counters), std::logic_error);
+    EXPECT_THROW((void)query(other), std::logic_error);
 
     store.add(segs.back());  // the bucket grows; the index has not seen it
-    EXPECT_THROW((void)dist.query(segs[0], store, counters), std::logic_error);
-    dist.sync(segs[0], store);
-    EXPECT_NO_THROW((void)dist.query(segs[0], store, counters));
+    EXPECT_THROW((void)query(store), std::logic_error);
+    dist.sync(sig, store);
+    EXPECT_NO_THROW((void)query(store));
   }
 }
 

@@ -39,11 +39,11 @@ TEST(PaperExamples, RelDiffMatchingAtThresholdHalf) {
   const SegmentId id1 = store.add(f.s1);
   policy.onStored(store.segment(id1), id1);
   // s2 vs s1: do_work end 17 vs 40 -> 0.575 > 0.5 -> no match.
-  EXPECT_FALSE(policy.tryMatch(f.s2, store).has_value());
+  EXPECT_FALSE(testing::tryMatch(policy, f.s2, store).has_value());
   const SegmentId id0 = store.add(f.s0);
   policy.onStored(store.segment(id0), id0);
   // s2 vs s0: all relative differences <= 0.15 -> match.
-  const auto match = policy.tryMatch(f.s2, store);
+  const auto match = testing::tryMatch(policy, f.s2, store);
   ASSERT_TRUE(match.has_value());
   EXPECT_EQ(*match, id0);
 }
@@ -55,10 +55,10 @@ TEST(PaperExamples, AbsDiffMatchingAtThreshold20) {
   store.add(f.s1);
   // "s2 will not match s1, because the end times of do_work are 23 time
   //  units apart"
-  EXPECT_FALSE(policy.tryMatch(f.s2, store).has_value());
+  EXPECT_FALSE(testing::tryMatch(policy, f.s2, store).has_value());
   const SegmentId id0 = store.add(f.s0);
   // "there are no differences larger than 3 between s2 and s0"
-  const auto match = policy.tryMatch(f.s2, store);
+  const auto match = testing::tryMatch(policy, f.s2, store);
   ASSERT_TRUE(match.has_value());
   EXPECT_EQ(*match, id0);
 }
@@ -100,9 +100,9 @@ TEST(PaperExamples, MinkowskiMatchingAtThreshold02) {
     MinkowskiPolicy policy(order, 0.2);
     SegmentStore store;
     store.add(f.s1);
-    EXPECT_FALSE(policy.tryMatch(f.s2, store).has_value());
+    EXPECT_FALSE(testing::tryMatch(policy, f.s2, store).has_value());
     const SegmentId id0 = store.add(f.s0);
-    const auto match = policy.tryMatch(f.s2, store);
+    const auto match = testing::tryMatch(policy, f.s2, store);
     ASSERT_TRUE(match.has_value());
     EXPECT_EQ(*match, id0);
   }
@@ -117,7 +117,7 @@ TEST(PaperExamples, WaveletMatchingAtThreshold02) {
   SegmentStore store;
   const SegmentId id0 = store.add(f.s0);
   policy.onStored(store.segment(id0), id0);
-  const auto match = policy.tryMatch(f.s2, store);
+  const auto match = testing::tryMatch(policy, f.s2, store);
   ASSERT_TRUE(match.has_value());
   EXPECT_EQ(*match, id0);
 }
@@ -134,18 +134,18 @@ TEST(PaperExamples, IterKKeepsKCopies) {
   {
     IterKPolicy policy(3);
     SegmentStore store;
-    EXPECT_FALSE(policy.tryMatch(f.s0, store).has_value());
+    EXPECT_FALSE(testing::tryMatch(policy, f.s0, store).has_value());
     store.add(f.s0);
-    EXPECT_FALSE(policy.tryMatch(f.s1, store).has_value());
+    EXPECT_FALSE(testing::tryMatch(policy, f.s1, store).has_value());
     store.add(f.s1);
-    EXPECT_FALSE(policy.tryMatch(f.s2, store).has_value());
+    EXPECT_FALSE(testing::tryMatch(policy, f.s2, store).has_value());
   }
   {
     IterKPolicy policy(2);
     SegmentStore store;
     store.add(f.s0);
     const SegmentId id1 = store.add(f.s1);
-    const auto match = policy.tryMatch(f.s2, store);
+    const auto match = testing::tryMatch(policy, f.s2, store);
     ASSERT_TRUE(match.has_value());
     EXPECT_EQ(*match, id1);  // the last stored copy fills in
   }
@@ -158,11 +158,11 @@ TEST(PaperExamples, IterAvgAverages) {
   IterAvgPolicy policy;
   policy.beginRank();
   SegmentStore store;
-  ASSERT_FALSE(policy.tryMatch(f.s0, store).has_value());
+  ASSERT_FALSE(testing::tryMatch(policy, f.s0, store).has_value());
   const SegmentId id = store.add(f.s0);
   policy.onStored(store.segment(id), id);
-  EXPECT_TRUE(policy.tryMatch(f.s1, store).has_value());
-  EXPECT_TRUE(policy.tryMatch(f.s2, store).has_value());
+  EXPECT_TRUE(testing::tryMatch(policy, f.s1, store).has_value());
+  EXPECT_TRUE(testing::tryMatch(policy, f.s2, store).has_value());
   policy.finishRank(store);
   ASSERT_EQ(store.size(), 1u);
   const Segment& avg = store.segment(id);

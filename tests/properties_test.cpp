@@ -3,13 +3,17 @@
 // workload class.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <tuple>
+#include <unordered_set>
 
 #include "core/methods.hpp"
+#include "core/online_reducer.hpp"
 #include "core/reconstruct.hpp"
 #include "core/reducer.hpp"
 #include "eval/evaluation.hpp"
+#include "eval/scenarios.hpp"
 #include "eval/workloads.hpp"
 
 namespace tracered::eval {
@@ -36,6 +40,13 @@ const PreparedTrace& cachedTrace(const std::string& name) {
 // Invariants per (workload, method) at default thresholds.
 
 using WM = std::tuple<std::string, core::Method>;
+
+std::string wmName(const ::testing::TestParamInfo<WM>& info) {
+  std::string name = std::get<0>(info.param);
+  for (auto& ch : name)
+    if (!std::isalnum(static_cast<unsigned char>(ch))) ch = '_';
+  return name + "_" + core::methodName(std::get<1>(info.param));
+}
 
 class MethodInvariants : public ::testing::TestWithParam<WM> {};
 
@@ -100,12 +111,47 @@ INSTANTIATE_TEST_SUITE_P(
                           "scenario:bursty_phases", "scenario:sparse_ranks",
                           "scenario:multi_region"),
         ::testing::ValuesIn(core::allMethods())),
-    [](const ::testing::TestParamInfo<WM>& info) {
-      std::string name = std::get<0>(info.param);
-      for (auto& ch : name)
-        if (!std::isalnum(static_cast<unsigned char>(ch))) ch = '_';
-      return name + "_" + core::methodName(std::get<1>(info.param));
-    });
+    wmName);
+
+// ---------------------------------------------------------------------------
+// The degree-of-matching denominator: possibleMatches is the segment count
+// minus the distinct signatures of each rank, summed over ranks — counted
+// here from the segments themselves, independent of any reducer state — for
+// every method, offline and streaming.
+
+class PossibleMatches : public ::testing::TestWithParam<WM> {};
+
+TEST_P(PossibleMatches, EqualSegmentsMinusDistinctSignatures) {
+  const auto& [workload, method] = GetParam();
+  const PreparedTrace& p = cachedTrace(workload);
+  std::size_t expected = 0;
+  for (const RankSegments& rs : p.segmented.ranks) {
+    std::unordered_set<std::uint64_t> signatures;
+    for (const Segment& s : rs.segments) signatures.insert(s.signature());
+    expected += rs.segments.size() - signatures.size();
+  }
+  const core::ReductionConfig config = core::ReductionConfig::defaults(method);
+
+  const core::ReductionResult offline =
+      core::reduceTrace(p.segmented, p.trace.names(), config);
+  EXPECT_EQ(offline.stats.possibleMatches, expected);
+
+  core::OnlineReducer streaming(p.trace.names(), config);
+  for (Rank r = 0; r < p.trace.numRanks(); ++r)
+    for (const RawRecord& rec : p.trace.rank(r).records) streaming.feed(r, rec);
+  EXPECT_EQ(streaming.finish().stats.possibleMatches, expected);
+}
+
+std::vector<std::string> scenarioWorkloads() {
+  std::vector<std::string> names;
+  for (const std::string& s : scenarioNames()) names.push_back("scenario:" + s);
+  return names;
+}
+
+INSTANTIATE_TEST_SUITE_P(ScenarioRegistry, PossibleMatches,
+                         ::testing::Combine(::testing::ValuesIn(scenarioWorkloads()),
+                                            ::testing::ValuesIn(core::allMethods())),
+                         wmName);
 
 // ---------------------------------------------------------------------------
 // Threshold monotonicity per method (the backbone of the threshold study).

@@ -26,7 +26,7 @@ TEST(PeriodicSampling, KeepsEveryKth) {
   int stored = 0;
   for (int i = 0; i < 9; ++i) {
     const Segment s = iter(names, i);
-    if (auto m = policy.tryMatch(s, store)) {
+    if (auto m = testing::tryMatch(policy, s, store)) {
       // Matched against the most recently kept representative.
       EXPECT_EQ(*m, store.size() - 1);
     } else {
@@ -44,7 +44,7 @@ TEST(PeriodicSampling, KOneKeepsEverything) {
   policy.beginRank();
   SegmentStore store;
   for (int i = 0; i < 5; ++i) {
-    EXPECT_FALSE(policy.tryMatch(iter(names, i), store).has_value());
+    EXPECT_FALSE(testing::tryMatch(policy, iter(names, i), store).has_value());
     store.add(iter(names, i));
   }
 }
@@ -59,13 +59,13 @@ TEST(PeriodicSampling, CountersAreSignatureLocal) {
                        {{"g", OpKind::kCompute, 1, 490 + d, {}}});
   };
   // Interleaved signatures each get their own every-2nd schedule.
-  EXPECT_FALSE(policy.tryMatch(iter(names, 0), store).has_value());
+  EXPECT_FALSE(testing::tryMatch(policy, iter(names, 0), store).has_value());
   store.add(iter(names, 0));
-  EXPECT_FALSE(policy.tryMatch(other(0), store).has_value());
+  EXPECT_FALSE(testing::tryMatch(policy, other(0), store).has_value());
   store.add(other(0));
-  EXPECT_TRUE(policy.tryMatch(iter(names, 1), store).has_value());
-  EXPECT_TRUE(policy.tryMatch(other(1), store).has_value());
-  EXPECT_FALSE(policy.tryMatch(iter(names, 2), store).has_value());
+  EXPECT_TRUE(testing::tryMatch(policy, iter(names, 1), store).has_value());
+  EXPECT_TRUE(testing::tryMatch(policy, other(1), store).has_value());
+  EXPECT_FALSE(testing::tryMatch(policy, iter(names, 2), store).has_value());
 }
 
 TEST(RandomSampling, ProbabilityOneKeepsEverything) {
@@ -74,7 +74,7 @@ TEST(RandomSampling, ProbabilityOneKeepsEverything) {
   policy.beginRank();
   SegmentStore store;
   for (int i = 0; i < 10; ++i) {
-    EXPECT_FALSE(policy.tryMatch(iter(names, i), store).has_value());
+    EXPECT_FALSE(testing::tryMatch(policy, iter(names, i), store).has_value());
     store.add(iter(names, i));
   }
 }
@@ -84,10 +84,10 @@ TEST(RandomSampling, ProbabilityZeroKeepsOnlyFirst) {
   RandomSamplingPolicy policy(0.0, 42);
   policy.beginRank();
   SegmentStore store;
-  EXPECT_FALSE(policy.tryMatch(iter(names, 0), store).has_value());
+  EXPECT_FALSE(testing::tryMatch(policy, iter(names, 0), store).has_value());
   store.add(iter(names, 0));
   for (int i = 1; i < 10; ++i)
-    EXPECT_TRUE(policy.tryMatch(iter(names, i), store).has_value());
+    EXPECT_TRUE(testing::tryMatch(policy, iter(names, i), store).has_value());
 }
 
 TEST(RandomSampling, RateApproximatesP) {
@@ -99,7 +99,7 @@ TEST(RandomSampling, RateApproximatesP) {
   const int n = 2000;
   for (int i = 0; i < n; ++i) {
     const Segment s = iter(names, i % 37);
-    if (policy.tryMatch(s, store).has_value()) continue;
+    if (testing::tryMatch(policy, s, store).has_value()) continue;
     store.add(s);
     ++stored;
   }
@@ -116,8 +116,8 @@ TEST(RandomSampling, DeterministicAcrossRuns) {
     SegmentStore sa, sb;
     for (int i = 0; i < 100; ++i) {
       const Segment s = iter(names, i);
-      const bool ka = !a.tryMatch(s, sa).has_value();
-      const bool kb = !b.tryMatch(s, sb).has_value();
+      const bool ka = !testing::tryMatch(a, s, sa).has_value();
+      const bool kb = !testing::tryMatch(b, s, sb).has_value();
       ASSERT_EQ(ka, kb) << "decision diverged at " << i;
       if (ka) {
         sa.add(s);

@@ -2,13 +2,34 @@
 // examples: threshold monotonicity, bucket handling, caching, averaging.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
 #include <limits>
+#include <new>
 
 #include "core/methods.hpp"
 #include "core/segment_store.hpp"
 #include "core/similarity.hpp"
 #include "test_helpers.hpp"
+
+// Every global operator new in this binary is counted, so a test can assert
+// that a code path allocates nothing (array new and the array deletes
+// forward to these by default). The deletes stay out of line so the
+// optimizer never pairs an inlined free() with a call to operator new.
+namespace {
+std::atomic<std::size_t> gNewCalls{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  gNewCalls.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace tracered::core {
 namespace {
@@ -36,6 +57,88 @@ TEST(SegmentStoreTest, AddAssignsDenseIdsAndBuckets) {
   EXPECT_TRUE(store.bucket(0xdeadbeef).empty());
   // Stored copies have absStart zeroed.
   EXPECT_EQ(store.segment(0).absStart, 0);
+
+  // Slots are dense, in order of each signature's first add.
+  EXPECT_EQ(store.bucketCount(), 2u);
+  EXPECT_EQ(store.slotOf(a.signature()), 0u);
+  EXPECT_EQ(store.slotOf(other.signature()), 1u);
+  EXPECT_EQ(store.slotOf(0xdeadbeef), SegmentStore::kNoSlot);
+  EXPECT_EQ(store.bucketAt(0), (std::vector<SegmentId>{0, 1}));
+  EXPECT_EQ(store.bucketAt(1), (std::vector<SegmentId>{2}));
+  store.clear();
+  EXPECT_EQ(store.bucketCount(), 0u);
+  EXPECT_EQ(store.slotOf(a.signature()), SegmentStore::kNoSlot);
+  EXPECT_EQ(store.add(other), 0u);
+  EXPECT_EQ(store.slotOf(other.signature()), 0u);
+}
+
+/// The metric methods: the policies that prepare features.
+const std::vector<Method>& featureMethods() {
+  static const std::vector<Method> methods = {Method::kManhattan, Method::kEuclidean,
+                                              Method::kChebyshev, Method::kAvgWave,
+                                              Method::kHaarWave};
+  return methods;
+}
+
+bool sameBits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+// featuresInto overwrites every field: a scratch last filled from a longer
+// segment (longer vector, larger padding, larger norms) yields the same bits
+// as a fresh SegmentFeatures, so no stale tail survives into a distance.
+TEST(Policies, FeaturesIntoDirtyScratchEqualsFresh) {
+  StringTable names;
+  std::vector<testing::Ev> events;
+  TimeUs t = 0;
+  for (const char* fn : {"a", "b", "c", "d", "e", "f", "g"}) {
+    events.push_back({fn, OpKind::kCompute, t + 1, t + 90, {}});
+    t += 100;
+  }
+  const Segment longSeg = makeSegment(names, "long", 0, 5000, events);
+  const Segment shortSeg = jittered(names, 5);
+  for (Method m : featureMethods()) {
+    SCOPED_TRACE(methodName(m));
+    const auto policy = makePolicy(m, defaultThreshold(m));
+    const auto& dist = dynamic_cast<const DistancePolicy&>(*policy);
+    SegmentFeatures dirty;
+    dist.featuresInto(longSeg, dirty);
+    dist.featuresInto(shortSeg, dirty);
+    SegmentFeatures fresh;
+    dist.featuresInto(shortSeg, fresh);
+    ASSERT_EQ(dirty.vec.size(), fresh.vec.size());
+    for (std::size_t i = 0; i < fresh.vec.size(); ++i)
+      EXPECT_TRUE(sameBits(dirty.vec[i], fresh.vec[i])) << "element " << i;
+    EXPECT_TRUE(sameBits(dirty.norm, fresh.norm));
+    EXPECT_TRUE(sameBits(dirty.maxAbs, fresh.maxAbs));
+  }
+}
+
+// Once the store's bucket is synced and the policy's feature scratch has
+// held a candidate this long, a matched tryMatch allocates nothing: no
+// feature vectors, no transform temporaries, no index bookkeeping.
+TEST(Policies, SteadyStateMatchAllocatesNothing) {
+  StringTable names;
+  for (Method m : {Method::kAvgWave, Method::kEuclidean}) {
+    SCOPED_TRACE(methodName(m));
+    auto policy = makePolicy(m, defaultThreshold(m));
+    policy->beginRank();
+    SegmentStore store;
+    // Enough dissimilar representatives to activate the bucket's pivots.
+    for (TimeUs delta = 0; delta < 20000; delta += 2000) {
+      const SegmentId id = store.add(jittered(names, delta));
+      policy->onStored(store.segment(id), id);
+    }
+    ASSERT_TRUE(testing::tryMatch(*policy, jittered(names, 3), store).has_value());
+
+    const Segment candidate = jittered(names, 5);
+    const std::uint64_t signature = candidate.signature();
+    const std::size_t before = gNewCalls.load();
+    const std::optional<SegmentId> match = policy->tryMatch(candidate, signature, store);
+    const std::size_t allocations = gNewCalls.load() - before;
+    EXPECT_EQ(match, std::optional<SegmentId>(0));
+    EXPECT_EQ(allocations, 0u);
+  }
 }
 
 TEST(Policies, NoMatchAcrossIncompatibleSegments) {
@@ -49,7 +152,7 @@ TEST(Policies, NoMatchAcrossIncompatibleSegments) {
     SegmentStore store;
     const SegmentId id = store.add(a);
     policy->onStored(store.segment(id), id);
-    EXPECT_FALSE(policy->tryMatch(other, store).has_value())
+    EXPECT_FALSE(testing::tryMatch(*policy, other, store).has_value())
         << methodName(m) << " matched across contexts";
   }
 }
@@ -67,8 +170,8 @@ TEST(Policies, ThresholdZeroMatchesOnlyIdenticalSegments) {
     SegmentStore store;
     const SegmentId id = store.add(a);
     policy->onStored(store.segment(id), id);
-    EXPECT_TRUE(policy->tryMatch(same, store).has_value()) << methodName(m);
-    EXPECT_FALSE(policy->tryMatch(off, store).has_value()) << methodName(m);
+    EXPECT_TRUE(testing::tryMatch(*policy, same, store).has_value()) << methodName(m);
+    EXPECT_FALSE(testing::tryMatch(*policy, off, store).has_value()) << methodName(m);
   }
 }
 
@@ -86,7 +189,7 @@ TEST(Policies, MatchingIsMonotonicInThreshold) {
       SegmentStore store;
       const SegmentId id = store.add(a);
       policy->onStored(store.segment(id), id);
-      const bool matched = policy->tryMatch(off, store).has_value();
+      const bool matched = testing::tryMatch(*policy, off, store).has_value();
       EXPECT_TRUE(matched || !matchedBefore)
           << methodName(m) << ": match disappeared as threshold grew (t=" << t << ")";
       matchedBefore = matched || matchedBefore;
@@ -104,7 +207,7 @@ TEST(Policies, FirstMatchingStoredSegmentWins) {
   store.add(s1);
   // Both are within 100 of the candidate; the paper's algorithm scans stored
   // segments in order and returns the first hit.
-  const auto match = policy.tryMatch(jittered(names, 5), store);
+  const auto match = testing::tryMatch(policy, jittered(names, 5), store);
   ASSERT_TRUE(match.has_value());
   EXPECT_EQ(*match, 0u);
 }
@@ -120,7 +223,7 @@ TEST(RelDiff, EarlySmallTimestampsAreHarsh) {
   const Segment b = makeSegment(names, "m", 0, 200,
                                 {{"f", OpKind::kCompute, 2, 150, {}}});
   store.add(a);
-  EXPECT_FALSE(policy.tryMatch(b, store).has_value());
+  EXPECT_FALSE(testing::tryMatch(policy, b, store).has_value());
 
   SegmentStore store2;
   const Segment c = makeSegment(names, "m", 0, 200,
@@ -128,7 +231,7 @@ TEST(RelDiff, EarlySmallTimestampsAreHarsh) {
   const Segment d = makeSegment(names, "m", 0, 200,
                                 {{"f", OpKind::kCompute, 125, 150, {}}});
   store2.add(c);
-  EXPECT_TRUE(policy.tryMatch(d, store2).has_value());
+  EXPECT_TRUE(testing::tryMatch(policy, d, store2).has_value());
 }
 
 TEST(Chebyshev, OnlyLargestDifferenceCounts) {
@@ -150,8 +253,8 @@ TEST(Chebyshev, OnlyLargestDifferenceCounts) {
   SegmentStore s1, s2;
   s1.add(a);
   s2.add(a);
-  EXPECT_TRUE(cheb.tryMatch(b, s1).has_value());
-  EXPECT_FALSE(manh.tryMatch(b, s2).has_value());
+  EXPECT_TRUE(testing::tryMatch(cheb, b, s1).has_value());
+  EXPECT_FALSE(testing::tryMatch(manh, b, s2).has_value());
 }
 
 TEST(Wavelet, HaarIsStricterThanAvgOnSameThreshold) {
@@ -171,8 +274,8 @@ TEST(Wavelet, HaarIsStricterThanAvgOnSameThreshold) {
     avg.onStored(s1.segment(i1), i1);
     const SegmentId i2 = s2.add(a);
     haar.onStored(s2.segment(i2), i2);
-    const bool am = avg.tryMatch(b, s1).has_value();
-    const bool hm = haar.tryMatch(b, s2).has_value();
+    const bool am = testing::tryMatch(avg, b, s1).has_value();
+    const bool hm = testing::tryMatch(haar, b, s2).has_value();
     // If Haar matches, the average transform must match too.
     EXPECT_TRUE(am || !hm) << "t=" << t;
   }
@@ -228,11 +331,11 @@ TEST(IterK, KeepsExactlyKThenMatchesLast) {
   SegmentStore store;
   for (int i = 0; i < 3; ++i) {
     const Segment s = jittered(names, i);
-    EXPECT_FALSE(policy.tryMatch(s, store).has_value());
+    EXPECT_FALSE(testing::tryMatch(policy, s, store).has_value());
     store.add(s);
   }
   for (int i = 3; i < 10; ++i) {
-    const auto match = policy.tryMatch(jittered(names, i), store);
+    const auto match = testing::tryMatch(policy, jittered(names, i), store);
     ASSERT_TRUE(match.has_value());
     EXPECT_EQ(*match, 2u);  // last stored copy
   }
@@ -248,8 +351,8 @@ TEST(IterAvg, RunningAverageConvergesToMean) {
   const SegmentId id = store.add(first);
   policy.onStored(store.segment(id), id);
   // deltas 0, 10, 20 -> mean end = 1000 + 10.
-  EXPECT_TRUE(policy.tryMatch(jittered(names, 10), store).has_value());
-  EXPECT_TRUE(policy.tryMatch(jittered(names, 20), store).has_value());
+  EXPECT_TRUE(testing::tryMatch(policy, jittered(names, 10), store).has_value());
+  EXPECT_TRUE(testing::tryMatch(policy, jittered(names, 20), store).has_value());
   policy.finishRank(store);
   EXPECT_EQ(store.segment(id).end, 1010);
   EXPECT_EQ(store.segment(id).events[0].end, 910);

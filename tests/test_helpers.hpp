@@ -1,9 +1,12 @@
 // Shared helpers for the tracered test suites.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "core/segment_store.hpp"
+#include "core/similarity.hpp"
 #include "trace/segment.hpp"
 #include "trace/string_table.hpp"
 
@@ -68,6 +71,14 @@ inline Fig2Segments fig2() {
                      {{"do_work", OpKind::kCompute, 1, 17, {}},
                       {"MPI_Allgather", OpKind::kAllgather, 18, 48, ag}});
   return f;
+}
+
+/// policy.tryMatch with the candidate's own signature, as the reducer calls
+/// it for every segment it consumes.
+inline std::optional<SegmentId> tryMatch(core::SimilarityPolicy& policy,
+                                         const Segment& candidate,
+                                         core::SegmentStore& store) {
+  return policy.tryMatch(candidate, candidate.signature(), store);
 }
 
 }  // namespace tracered::testing

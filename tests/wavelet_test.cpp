@@ -2,7 +2,11 @@
 // worked example.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <span>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -151,6 +155,85 @@ TEST(Wavelet, ConstantSignalHasZeroDetails) {
 TEST(Wavelet, RejectsNonPow2) {
   EXPECT_THROW(avgTransform({1, 2, 3}), std::invalid_argument);
   EXPECT_THROW(haarTransform({1, 2, 3, 4, 5}), std::invalid_argument);
+}
+
+// The transforms as first written — every level through a freshly allocated
+// temporary — the oracle the in-place forms must reproduce bit for bit.
+// `divisor` is 2 (avg) or sqrt 2 (Haar) forward, 1 (avg, exact) or sqrt 2
+// (Haar) inverse.
+constexpr double kSqrt2 = 1.4142135623730951;
+
+std::vector<double> literalForward(std::vector<double> v, double divisor) {
+  for (std::size_t len = v.size(); len >= 2; len /= 2) {
+    std::vector<double> tmp(len);
+    const std::size_t half = len / 2;
+    for (std::size_t i = 0; i < half; ++i) {
+      tmp[i] = (v[2 * i] + v[2 * i + 1]) / divisor;
+      tmp[half + i] = (v[2 * i] - v[2 * i + 1]) / divisor;
+    }
+    for (std::size_t i = 0; i < len; ++i) v[i] = tmp[i];
+  }
+  return v;
+}
+
+std::vector<double> literalInverse(std::vector<double> v, double divisor) {
+  for (std::size_t len = 2; len <= v.size(); len *= 2) {
+    std::vector<double> tmp(len);
+    const std::size_t half = len / 2;
+    for (std::size_t i = 0; i < half; ++i) {
+      tmp[2 * i] = (v[i] + v[half + i]) / divisor;
+      tmp[2 * i + 1] = (v[i] - v[half + i]) / divisor;
+    }
+    for (std::size_t i = 0; i < len; ++i) v[i] = tmp[i];
+  }
+  return v;
+}
+
+/// Index of the first element whose bits differ, or -1 when none does.
+std::ptrdiff_t firstBitDifference(const std::vector<double>& a, const std::vector<double>& b) {
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (std::bit_cast<std::uint64_t>(a[i]) != std::bit_cast<std::uint64_t>(b[i]))
+      return static_cast<std::ptrdiff_t>(i);
+  return -1;
+}
+
+// Every signal length from 1 to 1024, zero-padded as the wavelet methods
+// pad: the in-place transforms and inverses (over a minimum-size scratch
+// holding garbage) and the vector wrappers equal the literal per-level
+// temporaries bit for bit.
+TEST(Wavelet, InPlaceFormsEqualLiteralTemporariesBitForBit) {
+  SplitMix64 rng(17);
+  using InPlace = void (*)(std::span<double>, std::span<double>);
+  using Wrapper = std::vector<double> (*)(std::vector<double>);
+  struct Form {
+    const char* name;
+    InPlace inPlace;
+    Wrapper wrapper;
+    bool forward;
+    double divisor;
+  };
+  const Form forms[] = {
+      {"avgTransform", avgTransformInPlace, avgTransform, true, 2.0},
+      {"haarTransform", haarTransformInPlace, haarTransform, true, kSqrt2},
+      {"avgInverse", avgInverseInPlace, avgInverse, false, 1.0},
+      {"haarInverse", haarInverseInPlace, haarInverse, false, kSqrt2},
+  };
+  for (std::size_t n = 1; n <= 1024; ++n) {
+    std::vector<double> signal(n);
+    for (auto& x : signal) x = rng.nextDouble() * 2000.0 - 1000.0;
+    const std::vector<double> padded = padToPow2(signal);
+    for (const Form& f : forms) {
+      const std::vector<double> want = f.forward ? literalForward(padded, f.divisor)
+                                                 : literalInverse(padded, f.divisor);
+      std::vector<double> inPlace = padded;
+      std::vector<double> scratch(padded.size() / 2,
+                                  std::numeric_limits<double>::quiet_NaN());
+      f.inPlace(inPlace, scratch);
+      ASSERT_EQ(firstBitDifference(inPlace, want), -1) << f.name << " n=" << n;
+      ASSERT_EQ(firstBitDifference(f.wrapper(padded), want), -1)
+          << f.name << " wrapper n=" << n;
+    }
+  }
 }
 
 TEST(Wavelet, EuclideanDistanceBasics) {
