@@ -38,9 +38,10 @@ const std::vector<TargetInfo>& allTargets();
 /// Lookup by name; nullptr when unknown.
 TargetFn targetByName(const char* name);
 
-/// TraceFileReader over TRF1 + text, whole (readAll) and chunked
-/// (streamRecords at a tiny chunk size), plus the whole-buffer
-/// deserializeFullTrace — the `tracered reduce/info/convert` input surface.
+/// The full-trace push decoder behind `tracered reduce/info/convert`:
+/// whole-buffer deserializeFullTrace vs TraceFileReader pushing 7-byte
+/// chunks, with an agreement oracle (same accept/reject, same trace on
+/// accept), plus TraceFileReader::streamRecords.
 int runTraceFile(const std::uint8_t* data, std::size_t size);
 
 /// deserializeMergedTrace (TRM1) and deserializeReducedTrace (TRR1), with a
@@ -51,7 +52,8 @@ int runTrm1(const std::uint8_t* data, std::size_t size);
 int runText(const std::uint8_t* data, std::size_t size);
 
 /// serve wire surface: tryExtractFrame + typed payload decoders over the
-/// byte stream, then TraceStreamFeeder fed the same bytes in chunks.
+/// byte stream, then TraceStreamFeeder (the push decoder plus a
+/// ReductionSession sink) fed the same bytes in chunks.
 int runServe(const std::uint8_t* data, std::size_t size);
 
 /// ReductionConfig::fromName, with a toString round-trip check on accepted

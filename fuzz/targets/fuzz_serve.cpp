@@ -45,8 +45,9 @@ int runServe(const std::uint8_t* data, std::size_t size) {
   } catch (const std::runtime_error&) {  // malformed header: rejected
   }
 
-  // TraceStreamFeeder over the same bytes, chunked; the first byte picks the
-  // chunk size so the fuzzer explores push-boundary placements.
+  // TraceStreamFeeder (the push decoder feeding a ReductionSession) over the
+  // same bytes, chunked; the first byte picks the chunk size so the fuzzer
+  // explores push-boundary placements.
   const std::size_t chunk = size != 0 ? static_cast<std::size_t>(data[0] % 64) + 1 : 1;
   try {
     serve::TraceStreamFeeder feeder(

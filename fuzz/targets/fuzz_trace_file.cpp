@@ -1,7 +1,9 @@
 #include <unistd.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -34,27 +36,36 @@ void writeScratch(const std::uint8_t* data, std::size_t size) {
 }  // namespace
 
 int runTraceFile(const std::uint8_t* data, std::size_t size) {
-  // Whole-buffer reader over the raw bytes (no file involved).
+  // Whole-buffer decode over the raw bytes (no file involved).
+  std::optional<Trace> whole;
   try {
-    deserializeFullTrace(std::vector<std::uint8_t>(data, data + size));
+    whole = deserializeFullTrace(std::vector<std::uint8_t>(data, data + size));
   } catch (const std::runtime_error&) {  // malformed: documented rejection
   } catch (const std::logic_error&) {    // includes std::out_of_range
   }
 
   writeScratch(data, size);
 
-  // Whole-file path: format sniff + header decode + readAll.
+  // The same bytes pushed 7 at a time through the file reader. Both are
+  // drivers over the one push decoder, so this is an oracle, not just a
+  // no-crash run: they must agree on accept vs reject, and on accept decode
+  // the same trace. A divergence escapes as a finding.
+  std::optional<Trace> chunked;
   try {
-    TraceFileReader reader(scratchPath());
-    reader.readAll();
+    chunked = TraceFileReader(scratchPath(), /*chunkBytes=*/7).readAll();
   } catch (const std::runtime_error&) {
   } catch (const std::logic_error&) {
   }
+  if (whole.has_value() != chunked.has_value() ||
+      (whole && serializeFullTrace(*whole) != serializeFullTrace(*chunked))) {
+    std::fprintf(stderr, "fuzz_trace_file: whole-buffer and 7-byte-chunked decodes disagree\n");
+    std::abort();
+  }
 
-  // Chunked path at a tiny chunk size, stressing the StreamByteReader
-  // refill/boundary logic; callbacks discard the records.
+  // Record-callback path (what `tracered reduce --streaming` drives);
+  // callbacks discard the records.
   try {
-    TraceFileReader reader(scratchPath(), /*chunkBytes=*/7);
+    TraceFileReader reader(scratchPath());
     reader.streamRecords([](Rank, const RawRecord&) {}, [](Rank) {});
   } catch (const std::runtime_error&) {
   } catch (const std::logic_error&) {

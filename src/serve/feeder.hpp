@@ -1,35 +1,25 @@
-// TraceStreamFeeder: an incremental push-parser over the trace file formats.
+// TraceStreamFeeder: the serve daemon's incremental trace parser.
 //
-// The chunked TraceFileReader pulls bytes from a seekable file; a serve
-// connection instead RECEIVES bytes in arbitrary-sized network chunks and
-// must make progress with whatever has arrived. The feeder closes that gap:
-// push() consumes a chunk, decodes every complete header/record it now has
-// (TRF1 or text, auto-detected from the leading bytes exactly like
-// detectTraceFile), feeds decoded records straight into an owned
-// ReductionSession, and retains only the incomplete tail — so per-connection
-// parse memory is bounded by one record/primitive, never by the trace. The
-// decode itself reuses the trace_codec templates and TextTraceParser, which
-// is what makes a daemon round trip byte-identical to `tracered reduce
-// --streaming` of the same bytes: both are the same codec feeding the same
-// session (tested byte-for-byte in serve_test).
-//
-// Incomplete vs malformed: a decode that runs off the end of the buffered
-// bytes is "incomplete" (kept for the next push); anything else — bad magic,
-// bad record kind, non-monotonic timestamps, a primitive larger than
-// `maxPendingBytes` — throws std::runtime_error, which a connection turns
-// into an ERROR frame.
+// A serve connection receives trace bytes in arbitrary network chunks and
+// must make progress with whatever has arrived. The feeder is the full-trace
+// push decoder (trace/trace_decoder.hpp) with a sink feeding every decoded
+// record straight into an owned ReductionSession: each push decodes all
+// complete headers/records (TRF1 or text) and keeps only the incomplete
+// tail, so parse memory is bounded by one record, never by the trace. Being
+// the same decoder and session as `tracered reduce --streaming` is what
+// makes a daemon round trip byte-identical to it (tested in serve_test).
+// Malformed input — bad magic or record kind, non-monotonic timestamps, a
+// tail beyond `maxPendingBytes` — throws std::runtime_error, which a
+// connection turns into an ERROR frame.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "core/reduction_session.hpp"
-#include "trace/text_io.hpp"
-#include "trace/trace.hpp"
-#include "util/time_types.hpp"
+#include "trace/trace_decoder.hpp"
 
 namespace tracered::serve {
 
@@ -43,67 +33,38 @@ class TraceStreamFeeder {
 
   /// Consumes one chunk of the trace byte stream. Decodes and feeds every
   /// complete record; throws std::runtime_error on malformed input.
-  void push(const std::uint8_t* data, std::size_t n);
+  void push(const std::uint8_t* data, std::size_t n) { decoder_.push(data, n); }
 
   /// Ends the stream: validates completeness (binary: all declared rank
   /// sections seen, no trailing bytes; text: header invariants, idle ranks
   /// announced) and returns the session's result — bit-identical to offline
-  /// reduction of the same trace. Call once.
+  /// reduction of the same trace. Throws std::runtime_error on a truncated
+  /// stream. Call once.
   core::ReductionResult finishStream();
 
   /// Undecoded bytes currently buffered (the incomplete tail).
-  std::size_t pendingBytes() const { return pending_.size() - consumed_; }
+  std::size_t pendingBytes() const { return decoder_.tailBytes(); }
 
   /// Records decoded and fed so far.
-  std::size_t recordsFed() const { return session_ ? session_->recordsFed() : 0; }
-
-  /// High-water mark of the pending buffer (for the backpressure metrics).
-  std::size_t maxPendingBytes() const { return pendingHighWater_; }
+  std::size_t recordsFed() const {
+    return sink_.session ? sink_.session->recordsFed() : 0;
+  }
 
  private:
-  enum class State {
-    kDetect,         ///< sniffing binary magic vs text directives
-    kBinHeader,      ///< magic + version
-    kBinStringCount, ///< string table entry count
-    kBinStrings,     ///< string table entries
-    kBinNumRanks,    ///< declared rank count (session created after)
-    kBinRankHeader,  ///< next rank id + record count
-    kBinRecords,     ///< records of the current rank section
-    kBinDone,        ///< all declared sections decoded; no byte may follow
-    kText,           ///< line-oriented text trace
+  /// Creates the session from the decoded header and feeds it every record.
+  struct SessionSink final : FullTraceSink {
+    explicit SessionSink(const core::ReductionConfig& c) : config(c) {}
+    void header(TraceFileFormat, const StringTable& names, std::size_t) override;
+    std::vector<RawRecord>& section(Rank rank, std::uint64_t) override;
+    void records(Rank rank) override;
+
+    core::ReductionConfig config;
+    std::optional<core::ReductionSession> session;
+    std::vector<RawRecord> buf;
   };
 
-  void parseAvailable();
-  bool stepBinary();   ///< one decode step; false = need more bytes
-  void parseTextLines(bool atEof);
-  void feedTextLine(const std::string& line);
-  void detect(bool atEof);
-  void compact();
-
-  core::ReductionConfig config_;
-  std::size_t maxPending_;
-  State state_ = State::kDetect;
-
-  std::vector<std::uint8_t> pending_;
-  std::size_t consumed_ = 0;  ///< decoded prefix of pending_ (compacted lazily)
-  std::size_t pendingHighWater_ = 0;
-
-  // Binary decode state (mirrors TraceFileReader::streamBinary).
-  StringTable namesOwn_;
-  std::uint64_t stringsLeft_ = 0;
-  std::size_t numRanks_ = 0;
-  std::size_t ranksSeen_ = 0;
-  std::int64_t prevRank_ = -1;
-  Rank curRank_ = -1;
-  std::uint64_t recsLeft_ = 0;
-  TimeUs prevTime_ = 0;
-
-  // Text decode state (mirrors TraceFileReader::streamText).
-  TextTraceParser text_;
-  std::vector<bool> announced_;
-
-  std::optional<core::ReductionSession> session_;  ///< after header/detect
-  bool finished_ = false;
+  FullTraceDecoder decoder_;  ///< owns the names the session refers to
+  SessionSink sink_;
 };
 
 }  // namespace tracered::serve

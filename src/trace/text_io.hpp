@@ -19,7 +19,7 @@
 // malformed input.
 //
 // Both directions exist in streaming form: TextTraceParser consumes one line
-// at a time (the chunked TraceFileReader in trace_file.hpp is built on it),
+// at a time (the full-trace push decoder in trace_decoder.hpp is built on it),
 // and writeTextHeader/writeTextRank emit rank-by-rank. traceToText /
 // traceFromText are the whole-trace conveniences layered on top.
 #pragma once
@@ -55,8 +55,8 @@ void writeTextRank(std::ostream& os, const RankTrace& rankTrace);
 /// Incremental line-by-line parser for the text format; feed lines in file
 /// order (without their trailing newline). Header lines update the parser
 /// state; record lines yield a (currentRank, record) pair. traceFromText and
-/// the streaming TraceFileReader share this parser, so they accept exactly
-/// the same inputs and reject them with the same line-numbered diagnostics.
+/// the full-trace push decoder share this parser, so they accept exactly the
+/// same inputs and reject them with the same line-numbered diagnostics.
 class TextTraceParser {
  public:
   /// Feeds the next line. Returns true iff the line was a record line, in

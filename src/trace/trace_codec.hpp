@@ -1,12 +1,12 @@
-// Shared record-level codec for the TRF1/TRR1 binary formats.
+// Shared record-level codec for the TRF1/TRR1/TRM1 binary formats.
 //
-// Both the whole-buffer (de)serializers in trace_io and the chunked streaming
-// reader/writer in trace_file encode the SAME byte layout (docs/FORMATS.md is
-// the normative spec). These templates are that layout's single definition:
-// they are parameterized on the writer/reader type so they work over an
-// in-memory ByteWriter/ByteReader and over the chunked StreamByteReader alike
-// — which is what makes "streaming output is byte-identical to offline
-// output" a structural guarantee rather than a test-only one.
+// These templates are the layouts' single definition (docs/FORMATS.md is the
+// normative spec), instantiated over ByteWriter and ByteReader. The writers
+// (serializeFullTrace, the rank-at-a-time TraceFileWriter, the TRR1/TRM1
+// serializers) all encode through them. On the read side, full traces are
+// decoded in exactly one place, FullTraceDecoder (trace_decoder.hpp), which
+// every full-trace reader drives — so "streamed, chunked and whole-buffer
+// decodes agree" is a structural guarantee rather than a test-only one.
 #pragma once
 
 #include <cstddef>
@@ -52,9 +52,7 @@ inline TimeUs wrapSub(TimeUs a, TimeUs b) {
                              static_cast<std::uint64_t>(b));
 }
 
-/// Decodes and validates the <magic, version> preamble of a full trace —
-/// the one definition both the whole-buffer and streaming readers call, so
-/// the accepted header can never drift between them.
+/// Decodes and validates the <magic, version> preamble of a full trace.
 template <class R>
 void readFullHeader(R& r) {
   if (r.u32() != kFullMagic) throw std::runtime_error("trace_io: bad full-trace magic");

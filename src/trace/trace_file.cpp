@@ -1,23 +1,35 @@
 #include "trace/trace_file.hpp"
 
 #include <cstdint>
-#include <sstream>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
 #include "trace/trace_codec.hpp"
+#include "util/bytebuf.hpp"
 
 namespace tracered {
 
 namespace {
 
-/// First whitespace-delimited token of a line; empty for blank lines.
-std::string firstToken(const std::string& line) {
-  std::istringstream ls(line);
-  std::string tok;
-  ls >> tok;
-  return tok;
-}
+/// streamRecords' sink: hands each push's records to the callbacks.
+struct CallbackSink final : FullTraceSink {
+  CallbackSink(const TraceFileReader::RecordFn& r, const TraceFileReader::RankFn& k)
+      : onRecord(r), onRank(k) {}
+  void header(TraceFileFormat, const StringTable&, std::size_t) override {}
+  std::vector<RawRecord>& section(Rank rank, std::uint64_t) override {
+    if (onRank) onRank(rank);
+    return buf;
+  }
+  void records(Rank rank) override {
+    for (const RawRecord& rec : buf) onRecord(rank, rec);
+    buf.clear();
+  }
+
+  const TraceFileReader::RecordFn& onRecord;
+  const TraceFileReader::RankFn& onRank;
+  std::vector<RawRecord> buf;
+};
 
 }  // namespace
 
@@ -35,204 +47,66 @@ const char* formatName(TraceFileFormat f) {
   return "?";
 }
 
-namespace {
-
-/// Sniffs the format from an already-open stream and rewinds it to the
-/// start, so the caller can keep reading without a second open.
-TraceFileFormat detectOpenStream(std::istream& f, const std::string& path) {
-  unsigned char magic[4] = {0, 0, 0, 0};
-  f.read(reinterpret_cast<char*>(magic), 4);
-  if (f.gcount() == 4) {
-    // Assemble the little-endian u32 and compare against the codec's
-    // constants — the single definition of the magics.
-    std::uint32_t m = 0;
-    for (int i = 0; i < 4; ++i) m |= static_cast<std::uint32_t>(magic[i]) << (8 * i);
-    if (m == codec::kFullMagic || m == codec::kReducedMagic || m == codec::kMergedMagic) {
-      f.clear();
-      f.seekg(0);
-      if (m == codec::kFullMagic) return TraceFileFormat::kFullBinary;
-      return m == codec::kReducedMagic ? TraceFileFormat::kReducedBinary
-                                       : TraceFileFormat::kMergedBinary;
-    }
-  }
-  // Not a binary trace: accept as text iff the first non-blank line is a v1
-  // directive or comment (the parser will do the real validation). Sniff a
-  // bounded head only — getline over the whole file would materialize a
-  // multi-GB newline-free non-trace just to say "unrecognized".
-  constexpr std::size_t kSniffBytes = 64 * 1024;
-  f.clear();
-  f.seekg(0);
-  std::string head(kSniffBytes, '\0');
-  f.read(head.data(), static_cast<std::streamsize>(head.size()));
-  head.resize(static_cast<std::size_t>(f.gcount()));
-  std::istringstream hs(head);
-  std::string line;
-  while (std::getline(hs, line)) {
-    const std::string tok = firstToken(line);
-    if (tok.empty()) continue;
-    if (tok[0] == '#' || tok == "ranks" || tok == "string" || tok == "rank" ||
-        tok == "B" || tok == "E" || tok == ">" || tok == "<") {
-      f.clear();
-      f.seekg(0);
-      return TraceFileFormat::kText;
-    }
-    break;
-  }
-  throw std::runtime_error("trace_file: unrecognized trace format: " + path);
-}
-
-/// The reader constructor's member-initializer hook: validates the open
-/// before sniffing so a missing file reports "cannot open", not
-/// "unrecognized format".
-TraceFileFormat requireOpenAndDetect(std::ifstream& f, const std::string& path) {
-  if (!f) throw std::runtime_error("trace_file: cannot open for read: " + path);
-  return detectOpenStream(f, path);
-}
-
-}  // namespace
-
 TraceFileFormat detectTraceFile(const std::string& path) {
   std::ifstream f(path, std::ios::binary);
-  return requireOpenAndDetect(f, path);
+  if (!f) throw std::runtime_error("trace_file: cannot open for read: " + path);
+  std::vector<std::uint8_t> head(kSniffBytes);
+  f.read(reinterpret_cast<char*>(head.data()), static_cast<std::streamsize>(head.size()));
+  const std::size_t n = static_cast<std::size_t>(f.gcount());
+  std::optional<TraceFileFormat> format;
+  try {
+    format = sniffTraceFormat(head.data(), n, /*atEnd=*/n < head.size());
+  } catch (const std::runtime_error&) {
+    format = std::nullopt;  // reported below, naming the file
+  }
+  if (!format) throw std::runtime_error("trace_file: unrecognized trace format: " + path);
+  return *format;
 }
 
 TraceFileReader::TraceFileReader(const std::string& path, std::size_t chunkBytes)
-    : path_(path),
-      in_(path, std::ios::binary),
-      format_(requireOpenAndDetect(in_, path)),
-      names_(format_ == TraceFileFormat::kText ? text_.names() : namesOwn_) {
-  if (format_ == TraceFileFormat::kReducedBinary)
-    throw std::runtime_error(
-        "trace_file: '" + path +
-        "' is already a reduced trace (TRR1) where a full trace is expected; "
-        "'tracered convert --reconstruct' turns it into an approximated full trace "
-        "(library code: deserializeReducedTrace)");
-  if (format_ == TraceFileFormat::kMergedBinary)
-    throw std::runtime_error(
-        "trace_file: '" + path +
-        "' is a cross-rank merged trace (TRM1) where a full trace is expected; "
-        "merged traces are small by construction — read them whole via "
-        "deserializeMergedTrace");
-  if (format_ == TraceFileFormat::kFullBinary) {
-    bin_.emplace(in_, chunkBytes);
-    openBinary();
-  } else {
-    openText();
-  }
-}
-
-void TraceFileReader::openBinary() {
-  StreamByteReader& r = *bin_;
-  codec::readFullHeader(r);
-  namesOwn_ = codec::readStringTable(r);
-  numRanks_ = r.uvarint();
-}
-
-void TraceFileReader::openText() {
-  // Consume header lines (comments, 'ranks', leading 'string' directives) up
-  // to the first rank section, which streamRecords() must see so it can fire
-  // onRank; it is stashed unparsed in pendingLine_.
-  std::string line;
-  while (std::getline(in_, line)) {
-    if (line.size() > textBytesBuffered_) textBytesBuffered_ = line.size();
-    if (firstToken(line) == "rank") {
-      pendingLine_ = line;
-      pendingLineValid_ = true;
-      break;
+    : in_(path, std::ios::binary),
+      chunk_(chunkBytes == 0 ? 1 : chunkBytes),
+      decoder_(kMaxPrimitiveBytes) {
+  if (!in_) throw std::runtime_error("trace_file: cannot open for read: " + path);
+  try {
+    while (!decoder_.headerDone() && pushChunk()) {
     }
-    text_.feedLine(line);
+  } catch (const std::runtime_error& e) {
+    throw std::runtime_error("trace_file: '" + path + "': " + e.what());
   }
-  if (text_.declaredRanks() < 0) text_.finish();  // throws: missing header
-  numRanks_ = static_cast<std::size_t>(text_.declaredRanks());
 }
 
-void TraceFileReader::streamRecords(const RecordFn& onRecord, const RankFn& onRank) {
+bool TraceFileReader::pushChunk() {
+  if (eof_) return false;
+  in_.read(reinterpret_cast<char*>(chunk_.data()), static_cast<std::streamsize>(chunk_.size()));
+  const std::size_t n = static_cast<std::size_t>(in_.gcount());
+  if (n == 0) {
+    eof_ = true;
+    decoder_.finish();
+    return false;
+  }
+  decoder_.push(chunk_.data(), n);
+  return true;
+}
+
+void TraceFileReader::decodeInto(FullTraceSink& sink) {
   if (consumed_)
     throw std::logic_error("trace_file: reader already consumed (single-pass)");
   consumed_ = true;
-  if (format_ == TraceFileFormat::kFullBinary)
-    streamBinary(onRecord, onRank);
-  else
-    streamText(onRecord, onRank);
+  decoder_.attach(sink);
+  while (pushChunk()) {
+  }
 }
 
-void TraceFileReader::streamBinary(const RecordFn& onRecord, const RankFn& onRank) {
-  StreamByteReader& r = *bin_;
-  std::int64_t prevRank = -1;
-  for (std::size_t i = 0; i < numRanks_; ++i) {
-    const Rank rank = static_cast<Rank>(r.uvarint());
-    // Ascending ids make streaming (rank-id-ordered) and offline (file-
-    // ordered) reduction agree; every file our writers emit satisfies this.
-    if (static_cast<std::int64_t>(rank) <= prevRank)
-      throw std::runtime_error("trace_file: rank entries out of ascending order");
-    prevRank = rank;
-    if (onRank) onRank(rank);
-    const std::uint64_t nRecs = r.uvarint();
-    TimeUs prev = 0;
-    for (std::uint64_t j = 0; j < nRecs; ++j) {
-      const RawRecord rec = codec::readRecord(r, prev);
-      onRecord(rank, rec);
-    }
-  }
-  if (!r.atEnd()) throw std::runtime_error("trace_io: trailing bytes in full trace");
-}
-
-void TraceFileReader::streamText(const RecordFn& onRecord, const RankFn& onRank) {
-  // Rank-section starts are detected by the parser's current rank changing —
-  // no second tokenization per line. A consecutive re-announcement of the
-  // same rank is invisible here, which is fine: onRank exists to register
-  // ranks (ensureRank), and that rank is already registered.
-  std::vector<bool> announced(numRanks_, false);
-  auto feed = [&](const std::string& line) {
-    const Rank before = text_.currentRank();
-    if (text_.feedLine(line))
-      onRecord(text_.currentRank(), text_.record());
-    else if (text_.currentRank() != before && onRank)
-      onRank(text_.currentRank());
-    const Rank cur = text_.currentRank();
-    if (cur >= 0 && static_cast<std::size_t>(cur) < announced.size())
-      announced[static_cast<std::size_t>(cur)] = true;
-  };
-  if (pendingLineValid_) {
-    pendingLineValid_ = false;
-    feed(pendingLine_);
-  }
-  std::string line;
-  while (std::getline(in_, line)) {
-    if (line.size() > textBytesBuffered_) textBytesBuffered_ = line.size();
-    feed(line);
-  }
-  text_.finish();
-  // Text sections are optional per rank; announce the declared-but-absent
-  // ones so a streaming reducer wired straight to feed/ensureRank sees the
-  // same rank set as offline reduction — without this, idle-rank parity
-  // would hold only for callers that re-register the declared set manually.
-  if (onRank)
-    for (std::size_t r = 0; r < announced.size(); ++r)
-      if (!announced[r]) onRank(static_cast<Rank>(r));
+void TraceFileReader::streamRecords(const RecordFn& onRecord, const RankFn& onRank) {
+  CallbackSink sink(onRecord, onRank);
+  decodeInto(sink);
 }
 
 Trace TraceFileReader::readAll() {
-  Trace trace;
-  if (format_ == TraceFileFormat::kFullBinary) {
-    for (const auto& s : namesOwn_.all()) trace.names().intern(s);
-    streamRecords(
-        [&](Rank, const RawRecord& rec) {
-          trace.rank(trace.numRanks() - 1).records.push_back(rec);
-        },
-        [&](Rank rank) { trace.addRank().rank = rank; });
-  } else {
-    for (std::size_t i = 0; i < numRanks_; ++i) trace.addRank();
-    streamRecords(
-        [&](Rank rank, const RawRecord& rec) { trace.rank(rank).records.push_back(rec); });
-    for (const auto& s : text_.names().all()) trace.names().intern(s);
-  }
-  return trace;
-}
-
-std::size_t TraceFileReader::maxBufferedBytes() const {
-  return format_ == TraceFileFormat::kFullBinary ? bin_->maxBufferedBytes()
-                                                 : textBytesBuffered_;
+  TraceBuilder builder;
+  decodeInto(builder);
+  return builder.take();
 }
 
 TraceFileWriter::TraceFileWriter(const std::string& path, const StringTable& names,
@@ -264,8 +138,8 @@ void TraceFileWriter::writeRank(const RankTrace& rankTrace) {
   if (written_ == numRanks_)
     throw std::logic_error("trace_file: more rank sections than declared");
   ++written_;
-  // Strictly ascending, non-negative rank ids for both formats: the binary
-  // streaming reader requires it outright (so its output matches offline
+  // Strictly ascending, non-negative rank ids for both formats: every TRF1
+  // reader requires it outright (so streaming output matches offline
   // reduction byte-for-byte), and for text a duplicate id would be silently
   // merged by the parser into a different trace. Enforce at write time so
   // the writer can never emit a file that misreads.

@@ -1,109 +1,89 @@
 // Streaming trace file I/O: chunked reader/writer for on-disk traces.
 //
 // trace_io (de)serializes whole traces held in memory; this module is the
-// scalable path the `tracered` CLI drives: a TraceFileReader that decodes a
-// TRF1 or text trace chunk-by-chunk and hands out records in file order —
+// scalable path the `tracered` CLI drives: a TraceFileReader that reads a
+// TRF1 or text trace chunk by chunk and pushes each chunk into
+// FullTraceDecoder (trace_decoder.hpp), handing out records in file order —
 // so a trace never has to fit in memory to be reduced (feed the records to
 // ReductionSession::feed) — and a TraceFileWriter that emits rank-by-rank,
 // byte-identical to serializeFullTrace (both sit on the same trace_codec
-// templates; docs/FORMATS.md is the normative layout spec). The reader
-// auto-detects the format (binary magics vs text directives) on open.
+// templates; docs/FORMATS.md is the normative layout spec).
 #pragma once
 
 #include <cstdint>
 #include <fstream>
 #include <functional>
-#include <optional>
 #include <string>
+#include <vector>
 
-#include "trace/text_io.hpp"
 #include "trace/trace.hpp"
-#include "util/bytebuf.hpp"
+#include "trace/trace_decoder.hpp"
 
 namespace tracered {
 
-/// On-disk trace flavors the reader can detect.
-enum class TraceFileFormat {
-  kFullBinary,     ///< "TRF1": full trace, binary (docs/FORMATS.md §1).
-  kReducedBinary,  ///< "TRR1": reduced trace, binary (docs/FORMATS.md §2).
-  kMergedBinary,   ///< "TRM1": cross-rank merged trace (docs/FORMATS.md §2b).
-  kText,           ///< Text trace v1, full traces only (docs/FORMATS.md §3).
-};
-
 const char* formatName(TraceFileFormat f);
 
-/// Sniffs `path` (magic bytes, else text directives). Throws
+/// Sniffs `path` with sniffTraceFormat over its first kSniffBytes. Throws
 /// std::runtime_error on unreadable or unrecognizable files.
 TraceFileFormat detectTraceFile(const std::string& path);
 
 /// Chunked, single-pass reader for FULL traces (binary or text; a reduced
-/// file is rejected at open — reduced traces are small by construction, read
-/// them whole via readFile + deserializeReducedTrace). The file header
-/// (string table for binary, the `ranks` directive for text) is decoded at
-/// construction; records are decoded on demand, holding at most about one
-/// chunk of the file in memory at any time.
+/// or merged file is rejected at open — those are small by construction,
+/// read them whole via readFile + deserializeReducedTrace/MergedTrace). The
+/// header (string table for binary, the lines before the first `rank`
+/// section for text) is decoded at construction; records are decoded on
+/// demand, holding about one chunk of the file in memory at any time.
 ///
-/// Validation is the whole-buffer reader's plus streaming-specific rules:
-/// binary rank entries must have strictly ascending rank ids (every file the
-/// writers produce does), so that streaming reduction orders ranks exactly
-/// like offline reduction and their outputs stay byte-identical.
+/// Decoding is FullTraceDecoder's, so the reader accepts exactly the bytes
+/// deserializeFullTrace accepts and yields the same trace, at any chunk size.
 class TraceFileReader {
  public:
-  explicit TraceFileReader(const std::string& path,
-                           std::size_t chunkBytes = StreamByteReader::kDefaultChunkBytes);
+  static constexpr std::size_t kDefaultChunkBytes = 64 * 1024;
+  /// Longest single primitive (in practice a name string or a text line)
+  /// the reader will buffer before rejecting the file.
+  static constexpr std::size_t kMaxPrimitiveBytes = std::size_t{1} << 30;
 
-  TraceFileFormat format() const { return format_; }
+  explicit TraceFileReader(const std::string& path,
+                           std::size_t chunkBytes = kDefaultChunkBytes);
+
+  TraceFileFormat format() const { return decoder_.format().value(); }
 
   /// The trace-wide string table. Stable address for the reader's lifetime
   /// (hand it to ReductionSession); for text input it can still grow while
   /// streaming (`string` directives may legally trail the header).
-  const StringTable& names() const { return names_; }
+  const StringTable& names() const { return decoder_.names(); }
 
   /// Declared rank count (binary: header field; text: `ranks` directive).
-  std::size_t numRanks() const { return numRanks_; }
+  std::size_t numRanks() const { return decoder_.numRanks(); }
 
   using RecordFn = std::function<void(Rank, const RawRecord&)>;
   using RankFn = std::function<void(Rank)>;
 
   /// Streams every record in file order through `onRecord` in one pass.
-  /// `onRank`, if set, fires whenever a new rank section begins — including
-  /// sections with no records, which is how a streaming reducer learns about
-  /// idle ranks (ReductionSession::ensureRank). For text input a section
-  /// re-announcing the rank already current does not re-fire (the rank is
-  /// already registered), and declared ranks with no section at all fire
-  /// (ascending) after the last line — every declared rank is announced, so
-  /// feed/ensureRank wiring reproduces offline reduction's rank set exactly.
-  /// Call once; throws std::runtime_error / std::out_of_range on malformed
-  /// input.
+  /// `onRank`, if set, fires whenever a rank section begins, as
+  /// FullTraceSink::section does — empty sections and (text) declared ranks
+  /// without a section included, so feed/ensureRank wiring reproduces
+  /// offline reduction's rank set exactly. Call once; throws
+  /// std::runtime_error / std::out_of_range on malformed input.
   void streamRecords(const RecordFn& onRecord, const RankFn& onRank = {});
 
-  /// Materializes the whole trace. For binary input this produces exactly
-  /// deserializeFullTrace(readFile(path)); for text, traceFromText of the
-  /// file. Call once (consumes the stream).
+  /// Materializes the whole trace: exactly deserializeFullTrace of the
+  /// file's bytes. Call once (consumes the stream).
   Trace readAll();
 
-  /// High-water mark of the decode buffer — stays near the chunk size no
-  /// matter how large the file is (tested; the "never loads the whole trace
-  /// into one buffer" guarantee).
-  std::size_t maxBufferedBytes() const;
+  /// High-water mark of the read chunk plus the decoder's tail — stays near
+  /// the chunk size no matter how large the file is (tested; the "never
+  /// loads the whole trace into one buffer" guarantee).
+  std::size_t maxBufferedBytes() const { return chunk_.size() + decoder_.tailHighWater(); }
 
  private:
-  void openBinary();
-  void streamBinary(const RecordFn& onRecord, const RankFn& onRank);
-  void openText();
-  void streamText(const RecordFn& onRecord, const RankFn& onRank);
+  bool pushChunk();  ///< reads and pushes one chunk; false once input ended
+  void decodeInto(FullTraceSink& sink);
 
-  std::string path_;
   std::ifstream in_;
-  TraceFileFormat format_;
-  std::optional<StreamByteReader> bin_;  ///< engaged for binary input
-  TextTraceParser text_;                 ///< drives text input
-  std::string pendingLine_;              ///< first post-header text line
-  bool pendingLineValid_ = false;
-  std::size_t textBytesBuffered_ = 0;    ///< longest line seen (text input)
-  StringTable namesOwn_;                 ///< binary header's table
-  const StringTable& names_;
-  std::size_t numRanks_ = 0;
+  std::vector<std::uint8_t> chunk_;
+  FullTraceDecoder decoder_;
+  bool eof_ = false;
   bool consumed_ = false;
 };
 

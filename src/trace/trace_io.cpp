@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "trace/trace_codec.hpp"
+#include "trace/trace_decoder.hpp"
 #include "util/bytebuf.hpp"
 
 namespace tracered {
@@ -25,22 +26,12 @@ std::vector<std::uint8_t> serializeFullTrace(const Trace& trace) {
 }
 
 Trace deserializeFullTrace(const std::vector<std::uint8_t>& bytes) {
-  ByteReader r(bytes);
-  codec::readFullHeader(r);
-  StringTable names = codec::readStringTable(r);
-  Trace trace;
-  for (const auto& s : names.all()) trace.names().intern(s);
-  const std::uint64_t nRanks = r.uvarint();
-  for (std::uint64_t i = 0; i < nRanks; ++i) {
-    RankTrace& rt = trace.addRank();
-    rt.rank = static_cast<Rank>(r.uvarint());
-    const std::uint64_t nRecs = r.uvarint();
-    rt.records.reserve(codec::reserveHint(nRecs));
-    TimeUs prev = 0;
-    for (std::uint64_t j = 0; j < nRecs; ++j) rt.records.push_back(codec::readRecord(r, prev));
-  }
-  if (!r.atEnd()) throw std::runtime_error("trace_io: trailing bytes in full trace");
-  return trace;
+  TraceBuilder builder;
+  FullTraceDecoder decoder;
+  decoder.attach(builder);
+  decoder.push(bytes.data(), bytes.size());
+  decoder.finish();
+  return builder.take();
 }
 
 std::vector<std::uint8_t> serializeReducedTrace(const ReducedTrace& reduced) {

@@ -16,8 +16,10 @@
 //
 // docs/FORMATS.md is the normative byte-level spec of the layouts (§1 TRF1,
 // §2 TRR1, §2b TRM1); the record-level encoding itself lives in
-// trace_codec.hpp, shared with the chunked streaming reader/writer in
-// trace_file.hpp. This header is the whole-buffer convenience surface.
+// trace_codec.hpp, shared with the rank-at-a-time writer in trace_file.hpp.
+// Full traces are decoded only by FullTraceDecoder (trace_decoder.hpp);
+// deserializeFullTrace is one push of the whole buffer into it. This header
+// is the whole-buffer convenience surface.
 #pragma once
 
 #include <cstdint>
@@ -32,8 +34,10 @@ namespace tracered {
 /// Serializes a full trace. The returned buffer is the "file".
 std::vector<std::uint8_t> serializeFullTrace(const Trace& trace);
 
-/// Parses a full trace; throws std::runtime_error / std::out_of_range on
-/// malformed input.
+/// Parses a full trace, TRF1 or text (sniffed like detectTraceFile): the
+/// whole buffer pushed once through FullTraceDecoder. Throws
+/// std::out_of_range on truncated input (empty input included) and
+/// std::runtime_error on malformed input.
 Trace deserializeFullTrace(const std::vector<std::uint8_t>& bytes);
 
 /// Serializes a reduced trace.

@@ -2,15 +2,18 @@
 // (de)serializers, format auto-detection, and the bounded-memory guarantee.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
-#include <limits>
+#include <optional>
 #include <sstream>
 
 #include "core/cross_rank.hpp"
 #include "core/reconstruct.hpp"
 #include "core/reduction_session.hpp"
 #include "eval/workloads.hpp"
+#include "serve/feeder.hpp"
 #include "trace/segmenter.hpp"
 #include "trace/text_io.hpp"
 #include "trace/trace_codec.hpp"
@@ -330,48 +333,13 @@ TEST(TraceFile, WriterValidatesRankCount) {
   std::remove(path.c_str());
 }
 
-TEST(TraceFile, StreamByteReaderCrossesChunkBoundaries) {
-  ByteWriter w;
-  w.u32(0xdeadbeef);
-  w.uvarint(0x3ffffffffULL);       // multi-byte varint
-  w.svarint(-123456789);
-  w.str("a longer string that certainly spans several one-byte chunks");
-  w.u8(7);
-  std::stringstream ss;
-  ss.write(reinterpret_cast<const char*>(w.bytes().data()),
-           static_cast<std::streamsize>(w.size()));
-
-  StreamByteReader r(ss, /*chunkBytes=*/1);  // force a refill on every byte
-  EXPECT_EQ(r.u32(), 0xdeadbeefu);
-  EXPECT_EQ(r.uvarint(), 0x3ffffffffULL);
-  EXPECT_EQ(r.svarint(), -123456789);
-  EXPECT_EQ(r.str(), "a longer string that certainly spans several one-byte chunks");
-  EXPECT_EQ(r.u8(), 7);
-  EXPECT_TRUE(r.atEnd());
-
-  std::stringstream truncated(std::string("\x01", 1));
-  StreamByteReader tr(truncated);
-  EXPECT_EQ(tr.u8(), 1);
-  EXPECT_THROW(tr.u8(), std::out_of_range);
-
-  // A corrupt length prefix decoding to ~2^64 must hit the too-large guard,
-  // not wrap the bounds arithmetic and reach std::string's allocator.
-  ByteWriter hw;
-  hw.uvarint(std::numeric_limits<std::uint64_t>::max());
-  std::stringstream huge(std::string(reinterpret_cast<const char*>(hw.bytes().data()),
-                                     hw.size()));
-  StreamByteReader hr(huge);
-  EXPECT_THROW(hr.str(), std::out_of_range);
-
+TEST(TraceFile, ByteReaderRejectsOverflowingVarint) {
   // >= 64 significant bits is malformed per FORMATS.md: a 10th byte carrying
-  // more than bit 63 must be rejected, not silently truncated. Both readers.
+  // more than bit 63 must be rejected, not silently truncated.
   // The type matters: std::runtime_error (malformed — no amount of further
   // bytes can fix it), NOT std::out_of_range (truncated — incremental
   // parsers wait for more input on that type).
   const std::string overflow("\xff\xff\xff\xff\xff\xff\xff\xff\xff\x7f", 10);
-  std::stringstream sovf(overflow);
-  StreamByteReader sor(sovf);
-  EXPECT_THROW(sor.uvarint(), std::runtime_error);
   ByteReader bor(reinterpret_cast<const std::uint8_t*>(overflow.data()), overflow.size());
   try {
     bor.uvarint();
@@ -379,11 +347,87 @@ TEST(TraceFile, StreamByteReaderCrossesChunkBoundaries) {
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "uvarint overflows 64 bits");
   }
-  // ...while the max encodable value still round-trips.
-  std::stringstream smax(std::string(reinterpret_cast<const char*>(hw.bytes().data()),
-                                     hw.size()));
-  StreamByteReader smr(smax);
-  EXPECT_EQ(smr.uvarint(), std::numeric_limits<std::uint64_t>::max());
+}
+
+// ---- push-boundary differential --------------------------------------------
+// Every full-trace surface is a driver over the one push decoder, so the
+// whole-buffer, chunked-file and streamed decodes must accept the same bytes
+// and yield the same trace, wherever the push boundaries fall.
+
+constexpr std::size_t kReaderChunks[] = {1, 7, 256, 64 * 1024};
+constexpr std::size_t kFeederChunks[] = {1, 7, 4096};
+
+/// What `decode()` yields, or nullopt when it rejects the input with one of
+/// the documented exception types.
+template <class Fn>
+auto acceptedBy(Fn&& decode) -> std::optional<decltype(decode())> {
+  try {
+    return decode();
+  } catch (const std::runtime_error&) {
+  } catch (const std::logic_error&) {  // includes std::out_of_range
+  }
+  return std::nullopt;
+}
+
+std::vector<std::uint8_t> feedReduced(const std::vector<std::uint8_t>& bytes,
+                                      std::size_t chunk,
+                                      const core::ReductionConfig& config) {
+  serve::TraceStreamFeeder feeder(config);
+  for (std::size_t off = 0; off < bytes.size(); off += chunk)
+    feeder.push(bytes.data() + off, std::min(chunk, bytes.size() - off));
+  return serializeReducedTrace(feeder.finishStream().reduced);
+}
+
+TEST(TraceFile, EverySurfaceDecodesEveryPushSplitIdentically) {
+  const core::ReductionConfig config = core::ReductionConfig::fromName("avgWave@0.2");
+  for (const std::string name : {"late_sender", "NtoN_32", "dyn_load_balance"}) {
+    const Trace trace = eval::runWorkload(name, {0.05, 42});
+    for (const TraceFileFormat format : {TraceFileFormat::kFullBinary, TraceFileFormat::kText}) {
+      SCOPED_TRACE(name + " / " + formatName(format));
+      const std::string path = tmpPath("split_" + name + ".trace");
+      writeTraceFile(path, trace, format);
+      const std::vector<std::uint8_t> bytes = readFile(path);
+
+      const Trace whole = deserializeFullTrace(bytes);
+      expectSameTrace(whole, trace);
+      for (const std::size_t chunk : kReaderChunks) {
+        SCOPED_TRACE("reader chunk " + std::to_string(chunk));
+        expectSameTrace(TraceFileReader(path, chunk).readAll(), whole);
+      }
+      const std::vector<std::uint8_t> offline = serializeReducedTrace(
+          core::ReductionSession(whole.names(), config).reduce(segmentTrace(whole)).reduced);
+      for (const std::size_t chunk : kFeederChunks)
+        EXPECT_EQ(feedReduced(bytes, chunk, config), offline) << "feeder chunk " << chunk;
+      std::remove(path.c_str());
+    }
+  }
+}
+
+TEST(TraceFile, EverySurfaceAgreesOnTheRegressionCorpus) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(TRACERED_SOURCE_DIR) / "fuzz/corpus/regressions/trace_file";
+  std::vector<fs::path> files;
+  for (const auto& entry : fs::directory_iterator(dir)) files.push_back(entry.path());
+  std::sort(files.begin(), files.end());
+  ASSERT_FALSE(files.empty());
+
+  const core::ReductionConfig config = core::ReductionConfig::fromName("avgWave@0.2");
+  for (const fs::path& file : files) {
+    SCOPED_TRACE(file.filename().string());
+    const std::vector<std::uint8_t> bytes = readFile(file.string());
+    const auto whole = acceptedBy([&] { return deserializeFullTrace(bytes); });
+    for (const std::size_t chunk : kReaderChunks) {
+      SCOPED_TRACE("reader chunk " + std::to_string(chunk));
+      const auto chunked =
+          acceptedBy([&] { return TraceFileReader(file.string(), chunk).readAll(); });
+      ASSERT_EQ(chunked.has_value(), whole.has_value());
+      if (whole) expectSameTrace(*chunked, *whole);
+    }
+    for (const std::size_t chunk : kFeederChunks)
+      EXPECT_EQ(acceptedBy([&] { return feedReduced(bytes, chunk, config); }).has_value(),
+                whole.has_value())
+          << "feeder chunk " << chunk;
+  }
 }
 
 TEST(TraceFile, DesegmentRoundTripsSegmentation) {

@@ -3,9 +3,14 @@
 
 #include <cstdio>
 
+#include "core/reduction_config.hpp"
+#include "serve/feeder.hpp"
+#include "trace/trace_codec.hpp"
+#include "trace/trace_file.hpp"
 #include "trace/trace_io.hpp"
 #include "trace/segmenter.hpp"
 #include "test_helpers.hpp"
+#include "util/bytebuf.hpp"
 
 namespace tracered {
 namespace {
@@ -67,6 +72,53 @@ TEST(TraceIO, FullTraceRejectsTrailingBytes) {
   auto bytes = serializeFullTrace(smallTrace());
   bytes.push_back(0);
   EXPECT_THROW(deserializeFullTrace(bytes), std::runtime_error);
+}
+
+/// The exception message of `fn()`; empty (and a test failure) if nothing
+/// is thrown.
+template <class Fn>
+std::string thrownMessage(Fn&& fn) {
+  try {
+    fn();
+  } catch (const std::exception& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "expected an exception";
+  return {};
+}
+
+// FORMATS.md §1: rank sections must have strictly ascending ids, and every
+// reader — whole-buffer, chunked file, serve feeder — rejects a file that
+// breaks the rule, out-of-order and duplicate ids alike.
+TEST(TraceIO, EveryReaderRejectsRankSectionsOutOfAscendingOrder) {
+  for (const std::vector<Rank>& ids : {std::vector<Rank>{1, 0}, std::vector<Rank>{0, 0}}) {
+    SCOPED_TRACE(std::to_string(ids[0]) + ", " + std::to_string(ids[1]));
+    ByteWriter w;
+    w.u32(codec::kFullMagic);
+    w.u8(codec::kVersion);
+    w.uvarint(0);  // empty string table
+    w.uvarint(ids.size());
+    for (const Rank id : ids) {
+      w.uvarint(static_cast<std::uint64_t>(id));
+      w.uvarint(0);  // no records
+    }
+    const std::vector<std::uint8_t> bytes = w.bytes();
+    const std::string path = ::testing::TempDir() + "rank_order.trf";
+    writeFile(path, bytes);
+
+    const std::string want = "out of ascending order";
+    EXPECT_NE(thrownMessage([&] { deserializeFullTrace(bytes); }).find(want),
+              std::string::npos);
+    EXPECT_NE(thrownMessage([&] { TraceFileReader(path).readAll(); }).find(want),
+              std::string::npos);
+    EXPECT_NE(thrownMessage([&] {
+                serve::TraceStreamFeeder feeder(core::ReductionConfig{});
+                feeder.push(bytes.data(), bytes.size());
+                feeder.finishStream();
+              }).find(want),
+              std::string::npos);
+    std::remove(path.c_str());
+  }
 }
 
 ReducedTrace smallReduced() {

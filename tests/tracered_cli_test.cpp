@@ -6,6 +6,7 @@
 
 #include <sys/wait.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstdint>
@@ -43,6 +44,18 @@ CliResult runCli(const std::string& argsLine) {
 }
 
 std::string tmpPath(const std::string& name) { return ::testing::TempDir() + name; }
+
+/// The report-table line whose criterion column is `label`; empty if absent.
+std::string reportRow(const std::string& output, const std::string& label) {
+  std::size_t pos = 0;
+  while (pos < output.size()) {
+    const std::size_t end = std::min(output.find('\n', pos), output.size());
+    const std::string line = output.substr(pos, end - pos);
+    if (line.rfind(label + "  ", 0) == 0) return line;
+    pos = end + 1;
+  }
+  return {};
+}
 
 TEST(TraceredCli, HelpListsEverySubcommandAndIsStable) {
   const CliResult help = runCli("--help");
@@ -85,6 +98,11 @@ TEST(TraceredCli, GenerateReduceInfoEvalRoundTrip) {
   EXPECT_NE(str.output.find("streaming"), std::string::npos) << str.output;
   // The acceptance criterion: streaming output byte-identical to offline.
   EXPECT_EQ(readFile(offline), readFile(streamed));
+  // Both modes take the full-trace size of a TRF1 input from the file.
+  for (const char* label : {"full trace bytes", "file %"}) {
+    EXPECT_NE(reportRow(off.output, label), "") << label << '\n' << off.output;
+    EXPECT_EQ(reportRow(off.output, label), reportRow(str.output, label)) << label;
+  }
 
   const CliResult info = runCli("info " + streamed + " --json");
   EXPECT_EQ(info.exitCode, 0);

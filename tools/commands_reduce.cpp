@@ -125,8 +125,12 @@ int runReduce(const CliArgs& args) {
   core::ReductionResult result;
   std::optional<core::MergeResult> mergeResult;
   std::size_t records = 0;
-  std::size_t fullBytes = 0;  // serialized TRF1 bytes; 0 = unknown
   TraceFileReader reader(input);
+  // A binary input file IS the serialized full trace, in both modes. For
+  // text input the binary size needs the materialized trace, which only the
+  // offline mode has (streaming mode exists to avoid it): 0 = unknown.
+  std::size_t fullBytes =
+      reader.format() == TraceFileFormat::kFullBinary ? fileSizeBytes(input) : 0;
 
   const auto reduceStart = std::chrono::steady_clock::now();
   if (streaming) {
@@ -143,10 +147,6 @@ int runReduce(const CliArgs& args) {
     records = session.recordsFed();
     result = session.finish();
     mergeResult = session.takeMergeResult();
-    // A binary input file IS the serialized full trace; for text input the
-    // binary size would require materializing the trace, which streaming
-    // mode exists to avoid.
-    if (reader.format() == TraceFileFormat::kFullBinary) fullBytes = fileSizeBytes(input);
   } else {
     const Trace trace = reader.readAll();
     records = trace.totalRecords();
@@ -155,7 +155,7 @@ int runReduce(const CliArgs& args) {
     if (progress) session.onProgress(progressPrinter());
     result = session.reduce(segmentTrace(trace));
     mergeResult = session.takeMergeResult();
-    fullBytes = fullTraceSize(trace);
+    if (reader.format() == TraceFileFormat::kText) fullBytes = fullTraceSize(trace);
   }
   const double reduceMs = std::chrono::duration<double, std::milli>(
                               std::chrono::steady_clock::now() - reduceStart)
