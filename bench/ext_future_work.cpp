@@ -135,10 +135,10 @@ void crossRankStudy(TraceCache& cache, const BenchOptions& opts) {
     const double errBefore = eval::approximationDistance(
         prepared.segmented, core::reconstruct(res.reduced));
 
-    core::AbsDiffPolicy merge(500);
-    core::MergeStats stats;
-    const core::MergedReducedTrace merged =
-        core::mergeAcrossRanks(res.reduced, merge, &stats);
+    const core::MergeResult mergeResult = core::mergeAcrossRanks(
+        res.reduced, core::MergeOptions{core::ReductionConfig{core::Method::kAbsDiff, 500}});
+    const core::MergeStats& stats = mergeResult.stats;
+    const core::MergedReducedTrace& merged = mergeResult.merged;
     const double errAfter = eval::approximationDistance(
         prepared.segmented, core::reconstructMerged(merged));
 

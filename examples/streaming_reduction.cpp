@@ -33,22 +33,17 @@ int main() {
 
   // Stream every record through a session. Feed rank-major (a real tool
   // reduces each rank locally and in parallel; order across ranks does not
-  // matter).
+  // matter). While rank 0 streams, checkpoint the memory the session retains
+  // — what an online tool would be holding as the "run" progresses.
   core::ReductionSession live(trace.names(), config);
-  for (Rank r = 0; r < trace.numRanks(); ++r)
-    for (const RawRecord& rec : trace.rank(r).records) live.feed(r, rec);
-
-  // Retained-bytes curve via a dedicated rank-0 reducer: checkpoint the
-  // memory an online tool would be holding as the "run" progresses.
   std::vector<std::pair<std::size_t, std::size_t>> checkpoints;  // (records, bytes)
-  auto policy = config.makePolicy();
-  core::OnlineRankReducer r0(0, trace.names(), *policy);
   const std::size_t step = std::max<std::size_t>(1, trace.rank(0).records.size() / 8);
-  std::size_t fed = 0;
-  for (const RawRecord& rec : trace.rank(0).records) {
-    r0.feed(rec);
-    if (++fed % step == 0) checkpoints.emplace_back(fed, r0.retainedBytes());
-  }
+  for (Rank r = 0; r < trace.numRanks(); ++r)
+    for (const RawRecord& rec : trace.rank(r).records) {
+      live.feed(r, rec);
+      if (r == 0 && live.recordsFed() % step == 0)
+        checkpoints.emplace_back(live.recordsFed(), live.retainedBytes());
+    }
 
   TextTable t;
   t.header({"records fed (rank 0)", "retained in memory"});

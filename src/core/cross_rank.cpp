@@ -10,55 +10,14 @@
 
 namespace tracered::core {
 
-MergedReducedTrace mergeAcrossRanks(const ReducedTrace& reduced,
-                                    SimilarityPolicy& policy, MergeStats* stats) {
-  MergedReducedTrace out;
-  for (const auto& s : reduced.names.all()) out.names.intern(s);
-  out.execs.resize(reduced.ranks.size());
-  out.rankIds.reserve(reduced.ranks.size());
-  for (const RankReduced& rr : reduced.ranks) out.rankIds.push_back(rr.rank);
-
-  policy.beginRank();  // one synthetic "rank" holding the shared store
-  SegmentStore shared;
-  MergeStats local;
-  const MatchCounters counterBase = policy.matchCounters();
-
-  for (std::size_t r = 0; r < reduced.ranks.size(); ++r) {
-    const RankReduced& rr = reduced.ranks[r];
-    // Map from this rank's representative id to the shared id.
-    std::vector<SegmentId> remap(rr.stored.size());
-    for (SegmentId id = 0; id < rr.stored.size(); ++id) {
-      ++local.inputRepresentatives;
-      const Segment& rep = rr.stored[id];
-      const std::uint64_t sig = rep.signature();
-      if (auto matched = policy.tryMatch(rep, sig, shared)) {
-        remap[id] = *matched;
-      } else {
-        const SegmentId sharedId = shared.add(rep, sig);
-        policy.onStored(shared.segment(sharedId), sharedId);
-        remap[id] = sharedId;
-      }
-    }
-    out.execs[r].reserve(rr.execs.size());
-    for (const SegmentExec& e : rr.execs)
-      out.execs[r].push_back(SegmentExec{remap.at(e.id), e.start});
-  }
-
-  policy.finishRank(shared);
-  local.mergedRepresentatives = shared.size();
-  local.counters = policy.matchCounters() - counterBase;
-  out.sharedStore = std::move(shared).takeAll();
-  if (stats != nullptr) *stats = local;
-  return out;
-}
-
 SegmentedTrace reconstructMerged(const MergedReducedTrace& merged) {
   SegmentedTrace out;
   out.ranks.resize(merged.execs.size());
   for (std::size_t r = 0; r < merged.execs.size(); ++r) {
     RankSegments& rs = out.ranks[r];
-    // Ranks fed sparsely (e.g. through OnlineReducer) keep their real ids;
-    // hand-built traces without rankIds fall back to positional labels.
+    // Ranks fed sparsely (e.g. through a streaming ReductionSession) keep
+    // their real ids; hand-built traces without rankIds fall back to
+    // positional labels.
     rs.rank = r < merged.rankIds.size() ? merged.rankIds[r] : static_cast<Rank>(r);
     rs.segments.reserve(merged.execs[r].size());
     for (const SegmentExec& e : merged.execs[r]) {

@@ -12,18 +12,15 @@
 // pass: every exec still expands to a compatible representative; only the
 // measurements may now come from a peer rank's representative.
 //
-// Two drivers share those semantics:
-//
-//   * The policy-level serial pass (`mergeAcrossRanks(reduced, policy)`) —
-//     the reference: one synthetic "rank" holding the shared store, every
-//     representative tested in (rank order, store order), first match wins.
-//   * The config-driven hierarchical driver (`CrossRankMerger` and the
-//     MergeOptions overload): ranks are partitioned into shards and each
-//     shard climbs the tree in two steps — a PARALLEL probe of every
-//     candidate against the frozen store prefix committed by earlier shards,
-//     then a SERIAL commit walk in candidate order that resolves the
-//     candidates the probe could not (first match inside the shard, or a new
-//     store entry).
+// The semantics are those of the serial pass: one synthetic "rank" holding
+// the shared store, every representative tested in (rank order, store
+// order), first match wins. That pass is the test oracle (tests/
+// test_helpers.hpp); the driver here (`CrossRankMerger` and
+// `mergeAcrossRanks`) is hierarchical: ranks are partitioned into shards and
+// each shard climbs the tree in two steps — a PARALLEL probe of every
+// candidate against the frozen store prefix committed by earlier shards,
+// then a SERIAL commit walk in candidate order that resolves the candidates
+// the probe could not (first match inside the shard, or a new store entry).
 //
 // The merger keeps ONE match index over the shared store (the commit
 // policy's feature cache and per-bucket indexes) for the whole merge. At
@@ -111,17 +108,9 @@ struct MergeResult {
   MergeStats stats;
 };
 
-/// Merges the per-rank stores of `reduced` using `policy` for the ≈ test.
-/// The policy sees one synthetic "rank" containing all representatives in
-/// rank order (rank 0's first), so earlier ranks' representatives win — the
-/// same first-match rule as the intra-process algorithm. This is the serial
-/// reference the hierarchical driver is tested against.
-MergedReducedTrace mergeAcrossRanks(const ReducedTrace& reduced,
-                                    SimilarityPolicy& policy, MergeStats* stats = nullptr);
-
-/// Config-driven hierarchical merge of a whole reduced trace — bit-identical
-/// to the serial reference under `options.config`'s method/threshold for any
-/// shard size or executor.
+/// Hierarchical merge of a whole reduced trace — bit-identical to the serial
+/// first-match pass under `options.config`'s method/threshold for any shard
+/// size or executor.
 MergeResult mergeAcrossRanks(const ReducedTrace& reduced, const MergeOptions& options);
 
 /// Incremental hierarchical merger: feed ranks one at a time (in rank order)

@@ -1,5 +1,5 @@
 // The Sec. 3.1 matching loop for ONE rank, shared by the offline reducer
-// (`reduceTrace`) and the streaming reducer (`OnlineRankReducer`).
+// (`reduceTrace`) and ReductionSession's streaming lanes.
 //
 // The engine owns the rank's representative store, drives the similarity
 // policy's hooks (beginRank / tryMatch / onStored / finishRank), and keeps

@@ -1,7 +1,7 @@
 // The one value type describing a reduction run: which similarity method,
 // at what threshold, and on which executor. Every driver (offline
-// reduceTrace, the streaming OnlineReducer, eval::evaluateMethod,
-// ReductionSession) takes a ReductionConfig instead of re-plumbing its own
+// reduceTrace, ReductionSession's streaming lanes, eval::evaluateMethod,
+// the cross-rank merge) takes a ReductionConfig instead of re-plumbing its own
 // (Method, double, options) triple, and sweeps can serialize configs through
 // fromName()/toString() ("avgWave@0.2" style) for CLIs and logs.
 #pragma once

@@ -1,142 +1,99 @@
 #include "trace/segmenter.hpp"
 
-#include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace tracered {
 
-namespace {
-
-[[noreturn]] void fail(Rank rank, const std::string& what) {
-  throw std::runtime_error("segmenter: rank " + std::to_string(rank) + ": " + what);
+RankSegmenter::RankSegmenter(Rank rank, const StringTable& names) : names_(&names) {
+  current_.rank = rank;
 }
 
-}  // namespace
+void RankSegmenter::fail(const std::string& what) const {
+  throw std::runtime_error("segmenter: rank " + std::to_string(current_.rank) + ": " +
+                           what);
+}
 
-RankSegments segmentRank(const RankTrace& rankTrace, const StringTable& names,
-                         const SegmenterOptions& opts) {
+void RankSegmenter::failNamed(const char* what, NameId name) const {
+  fail(what + ("'" + names_->name(name) + "'"));
+}
+
+void RankSegmenter::failOrder(const char* what, NameId name, const char* verb, TimeUs time,
+                              const char* reference, TimeUs referenceTime) const {
+  fail(what + (" '" + names_->name(name) + "' ") + verb + " at " + std::to_string(time) +
+       "us, before its " + reference + " at " + std::to_string(referenceTime) + "us");
+}
+
+inline Segment* RankSegmenter::step(const RawRecord& rec) {
+  switch (rec.kind) {
+    case RecordKind::kSegBegin: {
+      if (hasPendingEnter_) fail("segment begins inside an open event");
+      if (inSegment_) failNamed("nested segment begin for context ", rec.name);
+      current_.context = rec.name;
+      current_.absStart = rec.time;
+      current_.events.clear();  // keeps the capacity unless the caller moved out
+      inSegment_ = true;
+      return nullptr;
+    }
+    case RecordKind::kSegEnd: {
+      if (hasPendingEnter_) fail("segment ends inside an open event");
+      if (!inSegment_ || current_.context != rec.name)
+        failNamed("unmatched segment end for context ", rec.name);
+      if (rec.time < current_.absStart)
+        failOrder("segment", rec.name, "ends", rec.time, "begin", current_.absStart);
+      // Rebase events relative to the segment start (the first loop of the
+      // paper's matching algorithm).
+      current_.end = rec.time - current_.absStart;
+      for (auto& e : current_.events) {
+        e.start -= current_.absStart;
+        e.end -= current_.absStart;
+      }
+      inSegment_ = false;
+      return &current_;
+    }
+    case RecordKind::kEnter: {
+      if (hasPendingEnter_) fail("nested function enter (flat event model expected)");
+      if (!inSegment_) failNamed("event outside any segment: ", rec.name);
+      if (rec.time < current_.absStart)
+        failOrder("event", rec.name, "enters", rec.time, "segment began", current_.absStart);
+      pendingEnter_ = rec;
+      hasPendingEnter_ = true;
+      return nullptr;
+    }
+    case RecordKind::kExit: {
+      if (!hasPendingEnter_ || pendingEnter_.name != rec.name)
+        failNamed("exit without matching enter: ", rec.name);
+      if (rec.time < pendingEnter_.time)
+        failOrder("event", rec.name, "exits", rec.time, "enter", pendingEnter_.time);
+      EventInterval ev;
+      ev.name = rec.name;
+      ev.op = pendingEnter_.op;
+      ev.msg = pendingEnter_.msg;
+      ev.start = pendingEnter_.time;  // absolute for now; rebased at the end
+      ev.end = rec.time;
+      current_.events.push_back(ev);
+      hasPendingEnter_ = false;
+      return nullptr;
+    }
+  }
+  return nullptr;
+}
+
+Segment* RankSegmenter::push(const RawRecord& rec) { return step(rec); }
+
+void RankSegmenter::finish() const {
+  if (hasPendingEnter_) fail("trace ends inside an open event");
+  if (inSegment_) fail("trace ends inside an open segment");
+}
+
+RankSegments segmentRank(const RankTrace& rankTrace, const StringTable& names) {
   RankSegments out;
   out.rank = rankTrace.rank;
-
-  std::optional<Segment> current;  // open segment (absolute times)
-  // Open function invocation. A value+flag pair instead of std::optional:
-  // GCC 12's -O2 inliner cannot prove the optional's payload is engaged at
-  // the read sites below and flags a -Wmaybe-uninitialized false positive,
-  // which the always-initialized value sidesteps (the CI Werror job builds
-  // Release).
-  RawRecord pendingEnter{};
-  bool hasPendingEnter = false;
-  const NameId gapContext = names.find("<gap>");
-
-  auto openGap = [&](TimeUs t) {
-    Segment s;
-    s.context = gapContext;
-    s.rank = rankTrace.rank;
-    s.absStart = t;
-    current = s;
-  };
-
-  auto closeCurrent = [&](TimeUs t) {
-    Segment s = std::move(*current);
-    current.reset();
-    s.end = t - s.absStart;
-    // Rebase events relative to the segment start (the first loop of the
-    // paper's matching algorithm).
-    for (auto& e : s.events) {
-      e.start -= s.absStart;
-      e.end -= s.absStart;
-    }
-    out.segments.push_back(std::move(s));
-  };
-
-  for (const RawRecord& rec : rankTrace.records) {
-    switch (rec.kind) {
-      case RecordKind::kSegBegin: {
-        if (hasPendingEnter) fail(rankTrace.rank, "segment begins inside an open event");
-        if (current) {
-          if (current->context != gapContext || !opts.tolerateGaps)
-            fail(rankTrace.rank, "nested segment begin for context '" +
-                                     names.name(rec.name) + "'");
-          // The implicit gap close obeys the same monotonicity rule as an
-          // explicit segment end: no negative duration may flow into
-          // reduction.
-          if (rec.time < current->absStart)
-            fail(rankTrace.rank, "segment '" + names.name(rec.name) +
-                                     "' begins at " + std::to_string(rec.time) +
-                                     "us, inside a gap that started at " +
-                                     std::to_string(current->absStart) + "us");
-          closeCurrent(rec.time);
-        }
-        Segment s;
-        s.context = rec.name;
-        s.rank = rankTrace.rank;
-        s.absStart = rec.time;
-        current = s;
-        break;
-      }
-      case RecordKind::kSegEnd: {
-        if (hasPendingEnter) fail(rankTrace.rank, "segment ends inside an open event");
-        if (!current || current->context != rec.name)
-          fail(rankTrace.rank, "unmatched segment end for context '" +
-                                   names.name(rec.name) + "'");
-        // Non-monotonic timestamps would flow negative durations into
-        // reduction — same rejection as the streaming OnlineRankReducer, so
-        // the offline and streaming paths accept exactly the same traces.
-        if (rec.time < current->absStart)
-          fail(rankTrace.rank, "segment '" + names.name(rec.name) + "' ends at " +
-                                   std::to_string(rec.time) +
-                                   "us, before its begin at " +
-                                   std::to_string(current->absStart) + "us");
-        closeCurrent(rec.time);
-        break;
-      }
-      case RecordKind::kEnter: {
-        if (hasPendingEnter)
-          fail(rankTrace.rank, "nested function enter (flat event model expected)");
-        if (!current) {
-          if (!opts.tolerateGaps)
-            fail(rankTrace.rank, "event outside any segment: '" + names.name(rec.name) + "'");
-          if (gapContext == kInvalidName)
-            fail(rankTrace.rank, "gap-tolerant mode requires '<gap>' interned");
-          openGap(rec.time);
-        }
-        if (rec.time < current->absStart)
-          fail(rankTrace.rank, "event '" + names.name(rec.name) + "' enters at " +
-                                   std::to_string(rec.time) +
-                                   "us, before its segment began at " +
-                                   std::to_string(current->absStart) + "us");
-        pendingEnter = rec;
-        hasPendingEnter = true;
-        break;
-      }
-      case RecordKind::kExit: {
-        if (!hasPendingEnter || pendingEnter.name != rec.name)
-          fail(rankTrace.rank, "exit without matching enter: '" + names.name(rec.name) + "'");
-        if (rec.time < pendingEnter.time)
-          fail(rankTrace.rank, "event '" + names.name(rec.name) + "' exits at " +
-                                   std::to_string(rec.time) +
-                                   "us, before its enter at " +
-                                   std::to_string(pendingEnter.time) + "us");
-        EventInterval ev;
-        ev.name = rec.name;
-        ev.op = pendingEnter.op;
-        ev.msg = pendingEnter.msg;
-        ev.start = pendingEnter.time;  // absolute for now; rebased at close
-        ev.end = rec.time;
-        current->events.push_back(ev);
-        hasPendingEnter = false;
-        break;
-      }
-    }
-  }
-
-  if (hasPendingEnter) fail(rankTrace.rank, "trace ends inside an open event");
-  if (current) {
-    if (!opts.tolerateGaps) fail(rankTrace.rank, "trace ends inside an open segment");
-    closeCurrent(current->events.empty() ? current->absStart
-                                         : current->absStart + current->events.back().end);
-  }
+  RankSegmenter segmenter(rankTrace.rank, names);
+  for (const RawRecord& rec : rankTrace.records)
+    if (Segment* closed = segmenter.step(rec)) out.segments.push_back(std::move(*closed));
+  segmenter.finish();
   return out;
 }
 
@@ -174,16 +131,11 @@ Trace desegmentTrace(const SegmentedTrace& segmented, const StringTable& names) 
   return trace;
 }
 
-SegmentedTrace segmentTrace(const Trace& trace, const SegmenterOptions& opts) {
-  SegmenterOptions o = opts;
+SegmentedTrace segmentTrace(const Trace& trace) {
   SegmentedTrace out;
   out.ranks.reserve(static_cast<std::size_t>(trace.numRanks()));
-  // Note: "<gap>" must already be interned when gap tolerance is on; callers
-  // that enable it intern it up front. We look it up once here.
-  for (Rank r = 0; r < trace.numRanks(); ++r) {
-    RankSegments segs = segmentRank(trace.rank(r), trace.names(), o);
-    out.ranks.push_back(std::move(segs));
-  }
+  for (Rank r = 0; r < trace.numRanks(); ++r)
+    out.ranks.push_back(segmentRank(trace.rank(r), trace.names()));
   return out;
 }
 

@@ -3,32 +3,82 @@
 // The simulator emits start_segment/end_segment markers exactly the way the
 // paper's Dyninst instrumentation does (Fig. 1): initialization, every loop
 // iteration, and finalization are bracketed. The segmenter pairs enters with
-// exits inside each bracket, rebases timestamps relative to the segment
-// start, and returns a SegmentedTrace.
+// exits inside each bracket and rebases timestamps relative to the segment
+// start.
+//
+// RankSegmenter is the one place records become segments. The offline
+// drivers (segmentRank/segmentTrace) loop over a materialized rank with it;
+// the streaming core::ReductionSession pushes each record through one per
+// rank as it arrives. Both therefore accept exactly the same streams and
+// reject the rest with the same diagnostic.
 #pragma once
+
+#include <string>
 
 #include "trace/segment.hpp"
 #include "trace/trace.hpp"
 
 namespace tracered {
 
-/// Options controlling segmentation.
-struct SegmenterOptions {
-  /// If true, events found outside any segment bracket are collected into
-  /// synthetic "<gap>" segments instead of raising an error. The paper's
-  /// instrumentation scheme leaves no such events; the simulator shouldn't
-  /// either, so the default is strict.
-  bool tolerateGaps = false;
+/// Push state machine that segments one rank's record stream.
+///
+/// Strict rules, each a std::runtime_error "segmenter: rank N: ...":
+/// segments do not nest, every event lies inside a segment, events are flat
+/// (an enter is followed by its own exit), and no end or exit precedes its
+/// begin or enter (no negative duration may flow into reduction). Equal
+/// timestamps are valid.
+class RankSegmenter {
+ public:
+  /// `names` is the table the records' NameIds refer to (used only for
+  /// diagnostics); it must outlive the segmenter.
+  RankSegmenter(Rank rank, const StringTable& names);
+
+  /// Feeds the next record. Returns the segment that `record` closed, with
+  /// its events rebased to its absStart, or nullptr if it closed none. The
+  /// segment stays valid until the next push; the caller may move from it.
+  /// When the caller does not, the next segment reuses its event buffer.
+  Segment* push(const RawRecord& record);
+
+  /// Checks the end of the stream: throws if an event or a segment is
+  /// still open.
+  void finish() const;
+
+  Rank rank() const { return current_.rank; }
+
+ private:
+  friend RankSegments segmentRank(const RankTrace& rankTrace, const StringTable& names);
+
+  /// push()'s body. Defined inline in the .cpp so segmentRank's loop
+  /// inlines it instead of paying a call per record (a measured ~25% of
+  /// segmentTrace on sweep3d).
+  inline Segment* step(const RawRecord& record);
+
+  // Diagnostics, out of line so the inlined step() stays compact:
+  // "<what>'<name>'" and "<what> '<name>' <verb> at <time>us, before its
+  // <reference> at <referenceTime>us".
+  [[noreturn]] void fail(const std::string& what) const;
+  [[noreturn]] void failNamed(const char* what, NameId name) const;
+  [[noreturn]] void failOrder(const char* what, NameId name, const char* verb, TimeUs time,
+                              const char* reference, TimeUs referenceTime) const;
+
+  const StringTable* names_;
+  Segment current_;  ///< The open segment (absolute event times) if inSegment_.
+  // The open function invocation. A value+flag pair instead of
+  // std::optional: GCC 12's -O2 inliner cannot prove the optional's payload
+  // is engaged at the read sites and raises a -Wmaybe-uninitialized false
+  // positive, which the always-initialized value sidesteps (the CI Werror
+  // job builds Release).
+  RawRecord pendingEnter_{};
+  bool hasPendingEnter_ = false;
+  bool inSegment_ = false;
 };
 
-/// Segments one rank's record stream. Throws std::runtime_error on malformed
-/// input (unbalanced markers, unpaired enter/exit, events outside segments
-/// when !tolerateGaps).
-RankSegments segmentRank(const RankTrace& rankTrace, const StringTable& names,
-                         const SegmenterOptions& opts = {});
+/// Segments one rank's record stream. Throws std::runtime_error on
+/// malformed input (see RankSegmenter).
+RankSegments segmentRank(const RankTrace& rankTrace, const StringTable& names);
 
 /// Segments an entire trace.
-SegmentedTrace segmentTrace(const Trace& trace, const SegmenterOptions& opts = {});
+SegmentedTrace segmentTrace(const Trace& trace);
 
 /// Inverse of segmentTrace: renders segments back into raw marker/enter/exit
 /// records with absolute timestamps, using `names` as the record streams'

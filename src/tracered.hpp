@@ -6,9 +6,9 @@
 //                segmenter, and the binary/text file formats
 //   * Method + ReductionConfig   which similarity method, at what threshold,
 //                executed how ("avgWave@0.2" via fromName/toString)
-//   * Executor   execution policy: SerialExecutor, or a PooledExecutor whose
-//                worker pool is reused across calls (keep ONE alive for a
-//                whole sweep — that amortizes thread spawn/join)
+//   * Executor   execution policy: a PooledExecutor whose worker pool is
+//                reused across calls (keep ONE alive for a whole sweep — that
+//                amortizes thread spawn/join); no executor runs inline
 //   * ReductionSession   the facade: feed() records at collection time or
 //                reduce() a segmented trace after the fact; bit-identical
 //                ReductionResult either way, optional progress callback
@@ -31,7 +31,6 @@
 #pragma once
 
 #include "core/methods.hpp"
-#include "core/online_reducer.hpp"
 #include "core/reconstruct.hpp"
 #include "core/reducer.hpp"
 #include "core/reduction_config.hpp"

@@ -5,11 +5,6 @@
 
 namespace tracered::util {
 
-void SerialExecutor::shard(std::size_t n,
-                           const std::function<void(std::size_t, std::size_t)>& fn) {
-  for (std::size_t i = 0; i < n; ++i) fn(0, i);
-}
-
 PooledExecutor::PooledExecutor(int threads)
     : threads_(threads <= 0 ? ThreadPool::hardwareThreads()
                             : static_cast<std::size_t>(threads)) {}

@@ -3,10 +3,11 @@
 // Reduction sweeps (9 methods x 6 thresholds, Sec. 5) issue many short
 // parallel regions; paying ThreadPool spawn/join per region dominates small
 // runs. An Executor separates "how work is sharded" from "who owns the
-// workers": SerialExecutor runs inline, PooledExecutor owns one lazily
-// started ThreadPool that is REUSED across shard() calls, so a caller that
-// keeps a PooledExecutor alive for a whole sweep amortizes worker churn to a
-// single spawn/join. ReductionConfig::executor takes either (null = inline).
+// workers": PooledExecutor owns one lazily started ThreadPool that is REUSED
+// across shard() calls, so a caller that keeps a PooledExecutor alive for a
+// whole sweep amortizes worker churn to a single spawn/join. Inline execution
+// needs no executor: a null ReductionConfig::executor (or a null executor
+// passed to core::runSharded) runs every item on the calling thread.
 #pragma once
 
 #include <cstddef>
@@ -35,14 +36,6 @@ class Executor {
   /// claimed dynamically (cheap items free their worker early).
   virtual void shard(std::size_t n,
                      const std::function<void(std::size_t, std::size_t)>& fn) = 0;
-};
-
-/// Runs everything inline on the calling thread (workerIndex always 0).
-class SerialExecutor final : public Executor {
- public:
-  std::size_t concurrency() const override { return 1; }
-  void shard(std::size_t n,
-             const std::function<void(std::size_t, std::size_t)>& fn) override;
 };
 
 /// Owns a reusable ThreadPool. The pool is spawned lazily on the first

@@ -17,8 +17,12 @@
 #include "trace/trace_io.hpp"
 #include "util/executor.hpp"
 
+#include "test_helpers.hpp"
+
 namespace tracered::core {
 namespace {
+
+using tracered::testing::mergeAcrossRanks;
 
 ReducedTrace reduceWith(const Trace& trace, Method m) {
   auto policy = makeDefaultPolicy(m);

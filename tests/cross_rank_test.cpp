@@ -10,8 +10,12 @@
 #include "trace/segmenter.hpp"
 #include "trace/trace_io.hpp"
 
+#include "test_helpers.hpp"
+
 namespace tracered::core {
 namespace {
+
+using tracered::testing::mergeAcrossRanks;
 
 eval::WorkloadOptions tiny() {
   eval::WorkloadOptions o;
@@ -121,8 +125,8 @@ TEST(CrossRank, EarlierRanksWinFirstMatch) {
 }
 
 TEST(CrossRank, SparseRankIdsSurviveMergeAndReconstruction) {
-  // Sparse rank ids (as OnlineReducer now produces) must not be relabeled
-  // positionally by the merge/reconstruct pair.
+  // Sparse rank ids (as a streaming ReductionSession produces) must not be
+  // relabeled positionally by the merge/reconstruct pair.
   ReducedTrace rt;
   const NameId ctx = rt.names.intern("main.1");
   for (Rank rank : {Rank(3), Rank(1024)}) {

@@ -1,16 +1,17 @@
-// Tests for the Executor abstraction: serial/pooled sharding semantics,
-// lazy pool start and reuse, and — the property the redesign exists for —
-// one PooledExecutor driving back-to-back reduceTrace/finish calls staying
-// bit-identical to the serial path.
+// Tests for the Executor abstraction: inline (null executor) and pooled
+// sharding semantics, lazy pool start and reuse, and — the property the
+// redesign exists for — one PooledExecutor driving back-to-back
+// reduceTrace/finish calls staying bit-identical to the serial path.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <set>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
-#include "core/online_reducer.hpp"
 #include "core/reducer.hpp"
+#include "core/reduction_session.hpp"
 #include "eval/workloads.hpp"
 #include "trace/segmenter.hpp"
 #include "util/executor.hpp"
@@ -18,20 +19,35 @@
 namespace tracered::util {
 namespace {
 
-TEST(SerialExecutor, RunsEveryItemInOrderOnWorkerZero) {
-  SerialExecutor exec;
-  EXPECT_EQ(exec.concurrency(), 1u);
+// A null executor is the inline path every driver takes without a pool.
+TEST(InlineSharding, RunsEveryItemInOrderOnWorkerZero) {
+  EXPECT_EQ(core::shardWorkers(nullptr, 5), 1u);
   std::vector<std::size_t> items;
-  exec.shard(5, [&](std::size_t worker, std::size_t i) {
+  core::runSharded(nullptr, 5, [&](std::size_t worker, std::size_t i) {
     EXPECT_EQ(worker, 0u);
     items.push_back(i);
   });
   EXPECT_EQ(items, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
 }
 
-TEST(SerialExecutor, ZeroItemsIsANoop) {
-  SerialExecutor exec;
-  exec.shard(0, [](std::size_t, std::size_t) { FAIL() << "no items to run"; });
+TEST(InlineSharding, ZeroItemsIsANoop) {
+  bool progressed = false;
+  core::runSharded(
+      nullptr, 0, [](std::size_t, std::size_t) { FAIL() << "no items to run"; },
+      [&](std::size_t, std::size_t) { progressed = true; });
+  EXPECT_FALSE(progressed);
+}
+
+TEST(InlineSharding, ProgressIsStrictlyIncreasing) {
+  std::vector<std::pair<std::size_t, std::size_t>> calls;
+  core::runSharded(
+      nullptr, 4, [](std::size_t, std::size_t) {},
+      [&](std::size_t done, std::size_t total) { calls.emplace_back(done, total); });
+  ASSERT_EQ(calls.size(), 4u);
+  for (std::size_t i = 0; i < calls.size(); ++i) {
+    EXPECT_EQ(calls[i].first, i + 1);
+    EXPECT_EQ(calls[i].second, 4u);
+  }
 }
 
 TEST(PooledExecutor, ResolvesThreadCounts) {
@@ -134,7 +150,7 @@ TEST(PooledExecutor, BackToBackReductionsMatchSerialBitForBit) {
     expectIdentical(serial, pooled);
 
     // Streaming finish through the SAME executor, still bit-identical.
-    core::OnlineReducer online(trace.names(), config.withExecutor(shared));
+    core::ReductionSession online(trace.names(), config.withExecutor(shared));
     for (Rank r = 0; r < trace.numRanks(); ++r)
       for (const RawRecord& rec : trace.rank(r).records) online.feed(r, rec);
     expectIdentical(serial, online.finish());

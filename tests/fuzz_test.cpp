@@ -9,9 +9,9 @@
 #include <tuple>
 
 #include "core/methods.hpp"
-#include "core/online_reducer.hpp"
 #include "core/reconstruct.hpp"
 #include "core/reducer.hpp"
+#include "core/reduction_session.hpp"
 #include "eval/workloads.hpp"
 #include "sim/simulator.hpp"
 #include "sim/validate.hpp"
@@ -159,7 +159,7 @@ TEST_P(RandomProgram, PipelineInvariantsHold) {
                          core::Method::kIterAvg}) {
     auto policy = core::makeDefaultPolicy(m);
     const core::ReductionResult off = core::reduceTrace(st, trace.names(), *policy);
-    core::OnlineReducer onl(trace.names(), core::ReductionConfig::defaults(m));
+    core::ReductionSession onl(trace.names(), core::ReductionConfig::defaults(m));
     for (Rank r = 0; r < trace.numRanks(); ++r)
       for (const RawRecord& rec : trace.rank(r).records) onl.feed(r, rec);
     const core::ReductionResult on = onl.finish();

@@ -4,8 +4,8 @@
 // scenario), the
 // exec-id range property that catches dangling-representative bugs (iter_k
 // with k <= 0 used to emit execs against SegmentId 0 of an empty store),
-// counter determinism across the serial / parallel / pooled / online /
-// streaming drivers, stale-state invalidation after SegmentStore::clear(),
+// counter determinism across the serial / parallel / pooled / streaming
+// drivers, stale-state invalidation after SegmentStore::clear(),
 // and FeatureCache behavior.
 #include <gtest/gtest.h>
 
@@ -15,7 +15,6 @@
 #include <string>
 
 #include "core/methods.hpp"
-#include "core/online_reducer.hpp"
 #include "core/reducer.hpp"
 #include "core/reduction_session.hpp"
 #include "core/segment_store.hpp"
@@ -150,8 +149,8 @@ TEST(MatchingCache, MatcherBitIdenticalToLiteralLoopOnEveryWorkloadAndMethod) {
 }
 
 TEST(MatchingCache, IndexedPathMatchesEveryDriver) {
-  // Serial is the reference; the parallel, pooled, online and streaming
-  // drivers must reproduce both the result and the counters bit-exactly.
+  // Serial is the reference; the parallel, pooled and streaming drivers
+  // must reproduce both the result and the counters bit-exactly.
   for (const std::string& w : {std::string("late_sender"), std::string("sweep3d_8p"),
                                std::string("scenario:sparse_ranks")}) {
     const Prepared& p = workload(w);
@@ -171,13 +170,6 @@ TEST(MatchingCache, IndexedPathMatchesEveryDriver) {
           reduceTrace(p.segmented, p.trace.names(), cfg.withExecutor(pool));
       expectBitIdentical(serial, pooled);
       EXPECT_EQ(serial.counters, pooled.counters);
-
-      OnlineReducer red(p.trace.names(), cfg);
-      for (Rank r = 0; r < p.trace.numRanks(); ++r)
-        for (const RawRecord& rec : p.trace.rank(r).records) red.feed(r, rec);
-      const ReductionResult online = red.finish();
-      expectBitIdentical(serial, online);
-      EXPECT_EQ(serial.counters, online.counters);
 
       ReductionSession session(p.trace.names(), cfg);
       for (Rank r = 0; r < p.trace.numRanks(); ++r)

@@ -1,9 +1,9 @@
 // The equivalence matrix of the config-driven reduction driver, swept over
 // the WHOLE workload registry (the paper's 18 programs + every scenario):
 // for every method at its default threshold, offline serial == offline
-// parallel (PooledExecutor widths 1, 2, 8 and a shared pool) == online ==
-// streaming ReductionSession, with bit-identical ReducedTraces and identical
-// merged ReductionStats. Plus sparse-rank indexing in the online reducer and
+// parallel (PooledExecutor widths 1, 2, 8 and a shared pool) == streaming
+// ReductionSession, with bit-identical ReducedTraces and identical merged
+// ReductionStats. Plus sparse-rank indexing in the streaming session and
 // stats-merge algebra.
 #include <gtest/gtest.h>
 
@@ -11,7 +11,6 @@
 
 #include "core/cross_rank.hpp"
 #include "core/methods.hpp"
-#include "core/online_reducer.hpp"
 #include "core/reducer.hpp"
 #include "core/reduction_session.hpp"
 #include "eval/workloads.hpp"
@@ -19,8 +18,12 @@
 #include "trace/trace_io.hpp"
 #include "util/executor.hpp"
 
+#include "test_helpers.hpp"
+
 namespace tracered::core {
 namespace {
+
+using tracered::testing::mergeAcrossRanks;
 
 /// Multi-rank synthetic trace shared by the matrix tests (8 ranks with
 /// rank-dependent timing from the late-sender simulator).
@@ -31,13 +34,6 @@ const Trace& matrixTrace() {
     return eval::runWorkload("late_sender", opts);
   }();
   return trace;
-}
-
-ReductionResult reduceOnline(const Trace& trace, const ReductionConfig& config) {
-  OnlineReducer red(trace.names(), config);
-  for (Rank r = 0; r < trace.numRanks(); ++r)
-    for (const RawRecord& rec : trace.rank(r).records) red.feed(r, rec);
-  return red.finish();
 }
 
 /// The streaming facade, wired the way `tracered reduce --streaming` is.
@@ -86,7 +82,6 @@ TEST(ParallelReduce, RegistryWideDriverEquivalence) {
       expectIdentical(serial,
                       reduceTrace(segmented, trace.names(), config.withExecutor(shared)),
                       "shared pooled executor");
-      expectIdentical(serial, reduceOnline(trace, config), "online");
       expectIdentical(serial, reduceStreaming(trace, config), "streaming session");
     }
   }
@@ -158,18 +153,15 @@ TEST(ParallelReduce, MergeStageArmsOnlyBeforeFinalize) {
   EXPECT_THROW(session.setMergeOptions({}), std::logic_error);
 }
 
-TEST(ParallelReduce, OnlineParallelFinishMatchesSerialFinish) {
+TEST(ParallelReduce, StreamingParallelFinishMatchesSerialFinish) {
   const Trace& trace = matrixTrace();
   const ReductionConfig serialCfg{Method::kAvgWave, 0.2};
-  const ReductionResult serialFinish = reduceOnline(trace, serialCfg);
+  const ReductionResult serialFinish = reduceStreaming(trace, serialCfg);
   for (int threads : {2, 8}) {
     util::PooledExecutor pool(threads);
-    expectIdentical(serialFinish, reduceOnline(trace, serialCfg.withExecutor(pool)),
-                    "online finish threads=" + std::to_string(threads));
+    expectIdentical(serialFinish, reduceStreaming(trace, serialCfg.withExecutor(pool)),
+                    "streaming finish threads=" + std::to_string(threads));
   }
-  util::PooledExecutor pool(2);
-  expectIdentical(serialFinish, reduceOnline(trace, serialCfg.withExecutor(pool)),
-                  "online finish pooled executor");
 }
 
 TEST(ParallelReduce, AutoThreadCountWorks) {
@@ -252,24 +244,24 @@ TEST(ParallelReduce, StatsMergeIsAssociative) {
   EXPECT_EQ(total.possibleMatches, 24u);
 }
 
-TEST(OnlineReducerSparse, OnlyFedRanksAppearOrderedByRank) {
+TEST(StreamingSessionSparse, OnlyFedRanksAppearOrderedByRank) {
   StringTable names;
   const NameId ctx = names.intern("main.1");
-  OnlineReducer red(names, ReductionConfig{Method::kAbsDiff, 1e9});
+  ReductionSession session(names, ReductionConfig{Method::kAbsDiff, 1e9});
 
   // Feed ranks 7, 2, and 100000 out of order; no intermediate ranks exist.
   auto feedSegment = [&](Rank r, TimeUs at) {
     RawRecord begin{RecordKind::kSegBegin, OpKind::kCompute, ctx, at, {}};
     RawRecord end{RecordKind::kSegEnd, OpKind::kCompute, ctx, at + 10, {}};
-    red.feed(r, begin);
-    red.feed(r, end);
+    session.feed(r, begin);
+    session.feed(r, end);
   };
   feedSegment(7, 0);
   feedSegment(2, 5);
   feedSegment(100000, 9);
   feedSegment(7, 20);
 
-  const ReductionResult res = red.finish();
+  const ReductionResult res = session.finish();
   ASSERT_EQ(res.reduced.ranks.size(), 3u);
   EXPECT_EQ(res.reduced.ranks[0].rank, 2);
   EXPECT_EQ(res.reduced.ranks[1].rank, 7);
@@ -279,63 +271,32 @@ TEST(OnlineReducerSparse, OnlyFedRanksAppearOrderedByRank) {
   EXPECT_EQ(res.stats.totalSegments, 4u);
 }
 
-TEST(OnlineReducerSparse, RankZeroFeedCacheIsCorrectFromTheFirstRecord) {
-  // Rank 0 is a perfectly valid rank id; the feed cache must treat "no rank
-  // cached yet" and "rank 0 cached" as different states (the old -1 sentinel
-  // encoded this only by accident; std::optional makes it structural).
+TEST(StreamingSessionSparse, RankZeroFeedCacheIsCorrectFromTheFirstRecord) {
+  // Rank 0 is a perfectly valid rank id; the session's last-lane cache must
+  // treat "no lane cached yet" and "rank 0 cached" as different states.
   StringTable names;
   const NameId ctx = names.intern("main.1");
-  OnlineReducer red(names, ReductionConfig{Method::kAbsDiff, 1e9});
-  red.feed(0, RawRecord{RecordKind::kSegBegin, OpKind::kCompute, ctx, 0, {}});
-  red.feed(0, RawRecord{RecordKind::kSegEnd, OpKind::kCompute, ctx, 10, {}});
-  const ReductionResult res = red.finish();
+  ReductionSession session(names, ReductionConfig{Method::kAbsDiff, 1e9});
+  session.feed(0, RawRecord{RecordKind::kSegBegin, OpKind::kCompute, ctx, 0, {}});
+  session.feed(0, RawRecord{RecordKind::kSegEnd, OpKind::kCompute, ctx, 10, {}});
+  const ReductionResult res = session.finish();
   ASSERT_EQ(res.reduced.ranks.size(), 1u);
   EXPECT_EQ(res.reduced.ranks[0].rank, 0);
   EXPECT_EQ(res.stats.totalSegments, 1u);
 }
 
-TEST(OnlineReducerSparse, EnsureRankMirrorsOfflineEmptyRanks) {
-  // A trace whose middle rank has no records: the offline reducer emits an
-  // empty entry for it; online matches once the rank set is pre-registered.
-  Trace trace(3);
-  for (Rank r : {Rank(0), Rank(2)}) {
-    RankTraceWriter w(trace, r);
-    w.segBegin("main.1", 0);
-    w.segEnd("main.1", 10);
-  }
-
-  auto policy = makeDefaultPolicy(Method::kAbsDiff);
-  const ReductionResult offline =
-      reduceTrace(segmentTrace(trace), trace.names(), *policy);
-  ASSERT_EQ(offline.reduced.ranks.size(), 3u);
-
-  OnlineReducer online(trace.names(), ReductionConfig::defaults(Method::kAbsDiff));
-  for (Rank r = 0; r < trace.numRanks(); ++r) {
-    online.ensureRank(r);
-    for (const RawRecord& rec : trace.rank(r).records) online.feed(r, rec);
-  }
-  expectIdentical(offline, online.finish(), "ensureRank empty-rank");
-}
-
-TEST(OnlineReducerSparse, NegativeRankStillRejected) {
-  StringTable names;
-  OnlineReducer red(names, ReductionConfig{Method::kAbsDiff, 1.0});
-  RawRecord rec{RecordKind::kSegBegin, OpKind::kCompute, names.intern("x"), 0, {}};
-  EXPECT_THROW(red.feed(-1, rec), std::invalid_argument);
-}
-
-TEST(OnlineReducerSparse, FinishIsTerminal) {
+TEST(StreamingSessionSparse, FinishIsTerminal) {
   StringTable names;
   const NameId ctx = names.intern("main.1");
-  OnlineReducer red(names, ReductionConfig{Method::kAbsDiff, 1.0});
-  red.feed(0, RawRecord{RecordKind::kSegBegin, OpKind::kCompute, ctx, 0, {}});
-  red.feed(0, RawRecord{RecordKind::kSegEnd, OpKind::kCompute, ctx, 10, {}});
-  red.finish();
+  ReductionSession session(names, ReductionConfig{Method::kAbsDiff, 1.0});
+  session.feed(0, RawRecord{RecordKind::kSegBegin, OpKind::kCompute, ctx, 0, {}});
+  session.feed(0, RawRecord{RecordKind::kSegEnd, OpKind::kCompute, ctx, 10, {}});
+  session.finish();
   RawRecord rec{RecordKind::kSegBegin, OpKind::kCompute, ctx, 20, {}};
-  EXPECT_THROW(red.feed(0, rec), std::logic_error);    // existing rank
-  EXPECT_THROW(red.feed(999, rec), std::logic_error);  // brand-new rank
-  EXPECT_THROW(red.ensureRank(1), std::logic_error);
-  EXPECT_THROW(red.finish(), std::logic_error);
+  EXPECT_THROW(session.feed(0, rec), std::logic_error);    // existing rank
+  EXPECT_THROW(session.feed(999, rec), std::logic_error);  // brand-new rank
+  EXPECT_THROW(session.ensureRank(1), std::logic_error);
+  EXPECT_THROW(session.finish(), std::logic_error);
 }
 
 }  // namespace

@@ -9,9 +9,9 @@
 #include <unordered_set>
 
 #include "core/methods.hpp"
-#include "core/online_reducer.hpp"
 #include "core/reconstruct.hpp"
 #include "core/reducer.hpp"
+#include "core/reduction_session.hpp"
 #include "eval/evaluation.hpp"
 #include "eval/scenarios.hpp"
 #include "eval/workloads.hpp"
@@ -136,7 +136,7 @@ TEST_P(PossibleMatches, EqualSegmentsMinusDistinctSignatures) {
       core::reduceTrace(p.segmented, p.trace.names(), config);
   EXPECT_EQ(offline.stats.possibleMatches, expected);
 
-  core::OnlineReducer streaming(p.trace.names(), config);
+  core::ReductionSession streaming(p.trace.names(), config);
   for (Rank r = 0; r < p.trace.numRanks(); ++r)
     for (const RawRecord& rec : p.trace.rank(r).records) streaming.feed(r, rec);
   EXPECT_EQ(streaming.finish().stats.possibleMatches, expected);

@@ -102,7 +102,7 @@ TEST(ReductionConfig, FromNameRejectsNonIntegerOrNonPositiveIterK) {
 }
 
 TEST(ReductionConfig, WithExecutorSetsOnlyTheExecutor) {
-  util::SerialExecutor exec;
+  util::PooledExecutor exec(1);
   const ReductionConfig base{Method::kHaarWave, 0.6};
   const ReductionConfig wired = base.withExecutor(exec);
   EXPECT_EQ(wired.method, base.method);

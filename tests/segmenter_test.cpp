@@ -121,11 +121,10 @@ TEST(Segmenter, RejectsOpenEventAtSegmentEnd) {
 }
 
 TEST(Segmenter, RejectsNonMonotonicTimestamps) {
-  // Same rejection as the streaming OnlineRankReducer, so the offline and
-  // streaming paths accept exactly the same traces: no negative duration
-  // may flow into reduction. RankTraceWriter already refuses to WRITE such
-  // records, so inject them directly — the way a corrupted or foreign trace
-  // file would deliver them.
+  // No negative duration may flow into reduction (the streaming session
+  // pushes through the same RankSegmenter, so it rejects the same traces).
+  // RankTraceWriter already refuses to WRITE such records, so inject them
+  // directly — the way a corrupted or foreign trace file would deliver them.
   auto makeTrace = [](const std::vector<std::pair<RecordKind, TimeUs>>& recs) {
     Trace trace(1);
     const NameId ctx = trace.names().intern("a");
@@ -160,47 +159,48 @@ TEST(Segmenter, RejectsNonMonotonicTimestamps) {
                                     {RecordKind::kSegEnd, 100}}))
                 .totalSegments(),
             1u);
-
-  // The gap-tolerant implicit close obeys the same rule: a segment begin
-  // inside an open gap must not retroactively end the gap before it started.
-  {
-    Trace trace(1);
-    trace.names().intern("<gap>");
-    const NameId fn = trace.names().intern("f");
-    const NameId ctx = trace.names().intern("a");
-    auto push = [&](RecordKind kind, NameId name, TimeUs time) {
-      RawRecord r;
-      r.kind = kind;
-      r.name = name;
-      r.time = time;
-      trace.rank(0).records.push_back(r);
-    };
-    push(RecordKind::kEnter, fn, 200);
-    push(RecordKind::kExit, fn, 210);
-    push(RecordKind::kSegBegin, ctx, 150);  // would close the gap at -50us
-    push(RecordKind::kSegEnd, ctx, 260);
-    SegmenterOptions opts;
-    opts.tolerateGaps = true;
-    EXPECT_THROW(segmentTrace(trace, opts), std::runtime_error);
-  }
 }
 
-TEST(Segmenter, GapToleranceCollectsOrphans) {
-  Trace trace(1);
-  trace.names().intern("<gap>");
-  RankTraceWriter w(trace, 0);
-  w.enter("f", OpKind::kCompute, 10);
-  w.exit("f", 20);
-  w.segBegin("a", 30);
-  w.enter("g", OpKind::kCompute, 31);
-  w.exit("g", 39);
-  w.segEnd("a", 40);
-  SegmenterOptions opts;
-  opts.tolerateGaps = true;
-  const SegmentedTrace st = segmentTrace(trace, opts);
-  ASSERT_EQ(st.ranks[0].segments.size(), 2u);
-  EXPECT_EQ(trace.names().name(st.ranks[0].segments[0].context), "<gap>");
-  EXPECT_EQ(st.ranks[0].segments[0].absStart, 10);
+TEST(Segmenter, PushReturnsEachClosedSegmentRebased) {
+  StringTable names;
+  const NameId ctx = names.intern("a");
+  const NameId fn = names.intern("f");
+  RankSegmenter seg(4, names);
+  auto push = [&](RecordKind kind, NameId name, TimeUs time) {
+    RawRecord r;
+    r.kind = kind;
+    r.name = name;
+    r.time = time;
+    return seg.push(r);
+  };
+
+  EXPECT_EQ(push(RecordKind::kSegBegin, ctx, 100), nullptr);
+  EXPECT_EQ(push(RecordKind::kEnter, fn, 110), nullptr);
+  EXPECT_EQ(push(RecordKind::kExit, fn, 130), nullptr);
+  const Segment* closed = push(RecordKind::kSegEnd, ctx, 150);
+  ASSERT_NE(closed, nullptr);
+  EXPECT_EQ(closed->rank, 4);
+  EXPECT_EQ(closed->absStart, 100);
+  EXPECT_EQ(closed->end, 50);
+  ASSERT_EQ(closed->events.size(), 1u);
+  EXPECT_EQ(closed->events[0].start, 10);
+  EXPECT_EQ(closed->events[0].end, 30);
+  seg.finish();  // nothing open
+
+  // Not moved from: the next segment starts empty on the reused buffer.
+  EXPECT_EQ(push(RecordKind::kSegBegin, ctx, 200), nullptr);
+  closed = push(RecordKind::kSegEnd, ctx, 205);
+  ASSERT_NE(closed, nullptr);
+  EXPECT_TRUE(closed->events.empty());
+  EXPECT_EQ(closed->end, 5);
+
+  EXPECT_EQ(push(RecordKind::kSegBegin, ctx, 300), nullptr);
+  try {
+    seg.finish();
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "segmenter: rank 4: trace ends inside an open segment");
+  }
 }
 
 TEST(Segmenter, EmptySegmentsAreKept) {

@@ -1,10 +1,13 @@
 // Shared helpers for the tracered test suites.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/cross_rank.hpp"
 #include "core/segment_store.hpp"
 #include "core/similarity.hpp"
 #include "trace/segment.hpp"
@@ -79,6 +82,54 @@ inline std::optional<SegmentId> tryMatch(core::SimilarityPolicy& policy,
                                          const Segment& candidate,
                                          core::SegmentStore& store) {
   return policy.tryMatch(candidate, candidate.signature(), store);
+}
+
+/// The serial cross-rank merge, the oracle the hierarchical
+/// core::mergeAcrossRanks is tested against: `policy` sees one synthetic
+/// "rank" holding the shared store, and every representative is tested in
+/// (rank order, store order), so earlier ranks' representatives win — the
+/// same first-match rule as the intra-process algorithm.
+inline MergedReducedTrace mergeAcrossRanks(const ReducedTrace& reduced,
+                                           core::SimilarityPolicy& policy,
+                                           core::MergeStats* stats = nullptr) {
+  MergedReducedTrace out;
+  for (const auto& s : reduced.names.all()) out.names.intern(s);
+  out.execs.resize(reduced.ranks.size());
+  out.rankIds.reserve(reduced.ranks.size());
+  for (const RankReduced& rr : reduced.ranks) out.rankIds.push_back(rr.rank);
+
+  policy.beginRank();
+  core::SegmentStore shared;
+  core::MergeStats local;
+  const core::MatchCounters counterBase = policy.matchCounters();
+
+  for (std::size_t r = 0; r < reduced.ranks.size(); ++r) {
+    const RankReduced& rr = reduced.ranks[r];
+    // Map from this rank's representative id to the shared id.
+    std::vector<SegmentId> remap(rr.stored.size());
+    for (SegmentId id = 0; id < rr.stored.size(); ++id) {
+      ++local.inputRepresentatives;
+      const Segment& rep = rr.stored[id];
+      const std::uint64_t sig = rep.signature();
+      if (auto matched = policy.tryMatch(rep, sig, shared)) {
+        remap[id] = *matched;
+      } else {
+        const SegmentId sharedId = shared.add(rep, sig);
+        policy.onStored(shared.segment(sharedId), sharedId);
+        remap[id] = sharedId;
+      }
+    }
+    out.execs[r].reserve(rr.execs.size());
+    for (const SegmentExec& e : rr.execs)
+      out.execs[r].push_back(SegmentExec{remap.at(e.id), e.start});
+  }
+
+  policy.finishRank(shared);
+  local.mergedRepresentatives = shared.size();
+  local.counters = policy.matchCounters() - counterBase;
+  out.sharedStore = std::move(shared).takeAll();
+  if (stats != nullptr) *stats = local;
+  return out;
 }
 
 }  // namespace tracered::testing
