@@ -10,22 +10,109 @@
 #include <stdexcept>
 
 #include "core/reduction_report.hpp"
+#include "serve/feeder.hpp"
 #include "trace/trace_io.hpp"
 #include "util/table.hpp"
 #include "util/version.hpp"
 
 namespace tracered::serve {
 
+namespace {
+
+double msSince(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+/// What a strand's worker has done with the connection's DATA so far.
+struct StrandProgress {
+  std::uint64_t consumed = 0;  ///< payload bytes pushed (the ACK sequence number)
+  std::uint64_t released = 0;  ///< payload bytes whose buffers are freed
+  std::size_t tail = 0;        ///< the feeder's undecoded tail
+};
+
+/// STATS (the batch path's report rows plus the daemon's feed and reduce
+/// times), the TRR1 bytes in RESULT chunks, and END.
+std::vector<std::uint8_t> replyFrames(const core::ReductionConfig& config,
+                                      const core::ReductionResult& result,
+                                      std::size_t records, std::uint64_t dataBytes,
+                                      double feedMs, double reduceMs) {
+  core::ReportRows rows = core::reductionReportRows(config, result, records, dataBytes);
+  rows.emplace_back("feed wall ms", fmtF(feedMs, 3));
+  rows.emplace_back("reduce wall ms", fmtF(reduceMs, 3));
+  const core::ReportRows counterRows = core::matchCounterRows(result.counters);
+  rows.insert(rows.end(), counterRows.begin(), counterRows.end());
+
+  std::vector<std::uint8_t> frames;
+  appendFrame(frames, FrameType::kStats, encodeStats(rows));
+  const std::vector<std::uint8_t> trr = serializeReducedTrace(result.reduced);
+  for (std::size_t off = 0; off < trr.size() || off == 0;) {
+    const std::size_t n = std::min(kMaxFramePayload, trr.size() - off);
+    appendFrame(frames, FrameType::kResult, trr.data() + off, n);
+    off += n;
+    if (n == 0) break;
+  }
+  appendFrame(frames, FrameType::kEnd, nullptr, 0);
+  return frames;
+}
+
+}  // namespace
+
+/// A strand's terminal frames: STATS/RESULT/END, or one ERROR.
+struct Server::Reply {
+  std::vector<std::uint8_t> frames;
+  bool ok = false;
+};
+
+/// A connection's ordered hand-off to the ingest pool. The poll loop queues
+/// DATA payloads and END; at most one pool task runs a strand at a time
+/// (`scheduled`), so its pushes and its finish keep their order. Shared by
+/// the connection and the task running it, so sweeping a connection
+/// mid-feed never frees a strand under a worker.
+struct Server::Strand {
+  Strand(std::uint64_t id, const core::ReductionConfig& c, std::size_t windowBytes)
+      : connId(id), config(c), feeder(c, windowBytes) {}
+
+  /// Drops the queued DATA and stops the worker at its next slice.
+  void cancel() {
+    std::lock_guard<std::mutex> lock(mutex);
+    cancelled = true;
+    payloads.clear();
+  }
+
+  const std::uint64_t connId;
+  const core::ReductionConfig config;
+
+  // Touched only by the task running the strand.
+  TraceStreamFeeder feeder;
+  StrandProgress progress;
+  double feedMs = 0;  ///< time spent in feeder.push
+
+  std::mutex mutex;  ///< guards everything below
+  // Poll loop -> worker.
+  std::deque<std::vector<std::uint8_t>> payloads;
+  bool ended = false;      ///< END is queued behind the payloads
+  bool scheduled = false;  ///< a pool task is queued or running
+  bool cancelled = false;  ///< the connection failed or is gone
+  // Worker -> poll loop.
+  StrandProgress published;
+  std::optional<Reply> reply;
+  bool posted = false;  ///< connId is in completed_, not yet drained
+};
+
 /// Per-connection state machine. Owned and touched ONLY by the poll-loop
-/// thread; the feeder is moved out to the reducer thread at END (via the
-/// mutex-protected job queue), so no Connection field is ever shared.
+/// thread; what it shares with a worker lives in its Strand.
 struct Server::Connection {
   enum class State {
     kHandshake,  ///< waiting for HELLO
-    kStreaming,  ///< feeding DATA into the feeder
-    kReducing,   ///< END seen; feeder handed to the reducer thread
+    kStreaming,  ///< handing DATA to the strand
+    kReducing,   ///< END handed to the strand; waiting for its reply
     kDraining,   ///< reply (or ERROR) queued; flushing, then close
   };
+
+  ~Connection() {
+    if (strand) strand->cancel();
+  }
 
   util::Fd fd;
   std::uint64_t id = 0;
@@ -39,32 +126,18 @@ struct Server::Connection {
   std::vector<std::uint8_t> outBuf;
   std::size_t outSent = 0;
 
-  std::unique_ptr<TraceStreamFeeder> feeder;
-  core::ReductionConfig config;
-  std::uint64_t payloadConsumed = 0;  ///< cumulative DATA bytes accepted
+  std::shared_ptr<Strand> strand;  ///< created at HELLO
+  StrandProgress progress;         ///< the strand's last published progress
   std::uint64_t lastAcked = 0;
-  std::uint64_t dataBytes = 0;  ///< total DATA payload (the full-trace size)
+  std::uint64_t dataBytes = 0;  ///< DATA payload handed to the strand so far
   bool servedTrace = false;     ///< RESULT (not ERROR) is what is draining
   bool dead = false;            ///< swept (and closed) after event handling
   bool abrupt = false;          ///< dead because the peer vanished
 
   std::size_t inUnconsumed() const { return inBuf.size() - inConsumed; }
   std::size_t outUnsent() const { return outBuf.size() - outSent; }
-};
-
-/// A completed stream on its way to the reducer thread.
-struct Server::Job {
-  std::uint64_t connId = 0;
-  std::unique_ptr<TraceStreamFeeder> feeder;
-  core::ReductionConfig config;
-  std::uint64_t dataBytes = 0;
-};
-
-/// The reducer thread's reply on its way back to the poll loop.
-struct Server::Completed {
-  std::uint64_t connId = 0;
-  std::vector<std::uint8_t> frames;
-  bool ok = false;
+  /// DATA handed to the strand that no worker has pushed yet.
+  std::size_t strandUnconsumed() const { return dataBytes - progress.consumed; }
 };
 
 Server::Server(ServerOptions options)
@@ -107,24 +180,18 @@ Server::Metrics Server::metrics() const {
 }
 
 void Server::noteBuffered(const Connection& c) {
-  const std::size_t buffered = c.inUnconsumed() +
-                               (c.feeder ? c.feeder->pendingBytes() : 0) +
-                               c.outUnsent();
+  const std::size_t buffered = c.inUnconsumed() + (c.dataBytes - c.progress.released) +
+                               c.progress.tail + c.outUnsent();
   std::lock_guard<std::mutex> lock(metricsMutex_);
   if (buffered > metrics_.peakConnBufferedBytes)
     metrics_.peakConnBufferedBytes = buffered;
 }
 
 void Server::run() {
-  std::thread reducer([this] { reducerLoop(); });
+  ingest_.emplace(std::max(2u, util::ThreadPool::hardwareThreads()));
   pollLoop();
-  {
-    std::lock_guard<std::mutex> lock(reducerMutex_);
-    reducerQuit_ = true;
-  }
-  reducerCv_.notify_all();
-  reducer.join();
-  conns_.clear();
+  conns_.clear();   // cancels every strand
+  ingest_.reset();  // joins the workers once running tasks see the cancel
 }
 
 void Server::pollLoop() {
@@ -143,13 +210,14 @@ void Server::pollLoop() {
     for (const auto& [id, cp] : conns_) {
       const Connection& c = *cp;
       short events = 0;
-      // Backpressure, both directions: only read while the input ring has
-      // space AND the peer is draining our output — a stalled reader gets
-      // its *input* paused once `windowBytes` of un-sent acks pile up, which
-      // is what caps per-connection memory (docs/SERVE.md §4).
+      // Backpressure, both directions: only read while the input ring plus
+      // what the strand has not consumed fits the ring AND the peer is
+      // draining our output — a stalled reader gets its *input* paused once
+      // `windowBytes` of un-sent output piles up, which is what caps
+      // per-connection memory (docs/SERVE.md §4).
       const bool wantRead = (c.state == Connection::State::kHandshake ||
                              c.state == Connection::State::kStreaming) &&
-                            c.inUnconsumed() < inRingCapacity() &&
+                            c.inUnconsumed() + c.strandUnconsumed() < inRingCapacity() &&
                             c.outUnsent() <= options_.windowBytes;
       if (wantRead) events |= POLLIN;
       if (c.outUnsent() > 0) events |= POLLOUT;
@@ -180,8 +248,11 @@ void Server::pollLoop() {
       const auto it = conns_.find(ids[i]);
       if (it == conns_.end()) continue;
       Connection& c = *it->second;
-      if (re & (POLLIN | POLLHUP | POLLERR)) readable(c);
-      if (!c.dead && (re & POLLOUT) && c.outUnsent() > 0) writable(c);
+      if (re & (POLLIN | POLLHUP | POLLERR)) readable(c, (re & (POLLHUP | POLLERR)) != 0);
+      if (!c.dead && (re & POLLOUT) && c.outUnsent() > 0) {
+        writable(c);
+        if (!c.dead) maybeAck(c);  // one held back while the output was full
+      }
       noteBuffered(c);
     }
 
@@ -197,7 +268,7 @@ void Server::pollLoop() {
           std::lock_guard<std::mutex> lock(metricsMutex_);
           ++metrics_.abruptDisconnects;
         }
-        it = conns_.erase(it);
+        it = conns_.erase(it);  // cancels the strand: queued DATA is never decoded
       } else {
         ++it;
       }
@@ -228,16 +299,18 @@ void Server::acceptPending(int listenFd) {
   }
 }
 
-void Server::readable(Connection& c) {
-  // Compact the consumed prefix, then fill the ring up to its capacity.
+void Server::readable(Connection& c, bool hungUp) {
+  // Compact the consumed prefix, then fill the ring up to what the window
+  // leaves after the bytes still queued to the strand.
   if (c.inConsumed > 0) {
     c.inBuf.erase(c.inBuf.begin(), c.inBuf.begin() + static_cast<std::ptrdiff_t>(c.inConsumed));
     c.inConsumed = 0;
   }
-  bool sawEof = false;
-  while (c.inBuf.size() < inRingCapacity()) {
+  // A hung-up peer can no longer read a reply, whatever it left unread.
+  bool sawEof = hungUp;
+  while (c.inBuf.size() + c.strandUnconsumed() < inRingCapacity()) {
     const std::size_t old = c.inBuf.size();
-    const std::size_t want = inRingCapacity() - old;
+    const std::size_t want = inRingCapacity() - old - c.strandUnconsumed();
     c.inBuf.resize(old + want);
     const util::IoResult r = util::readSome(c.fd.get(), c.inBuf.data() + old, want);
     c.inBuf.resize(old + (r.status == util::IoStatus::kOk ? r.n : 0));
@@ -274,8 +347,8 @@ void Server::readable(Connection& c) {
 
   if (sawEof && !c.dead && c.state != Connection::State::kDraining) {
     // Peer vanished mid-conversation (truncated handshake, abrupt
-    // disconnect mid-stream, or mid-reduce). Drop the connection; a queued
-    // reduce result will find it gone and be discarded.
+    // disconnect mid-stream, or mid-reduce). Drop the connection; the
+    // sweep cancels its strand, and a reply still coming finds it gone.
     c.dead = true;
     c.abrupt = true;
   } else if (sawEof && c.state == Connection::State::kDraining && c.outUnsent() > 0) {
@@ -315,6 +388,7 @@ void Server::queueOutput(Connection& c, std::vector<std::uint8_t> bytes) {
 
 void Server::sendError(Connection& c, const std::string& message) {
   if (c.state == Connection::State::kDraining) return;
+  if (c.strand) c.strand->cancel();
   std::vector<std::uint8_t> frames;
   appendFrame(frames, FrameType::kError, encodeError(message));
   c.state = Connection::State::kDraining;
@@ -326,7 +400,24 @@ void Server::sendError(Connection& c, const std::string& message) {
   queueOutput(c, std::move(frames));
 }
 
-void Server::handleFrame(Connection& c, const Frame& f) {
+void Server::maybeAck(Connection& c) {
+  // Held back while a stalled reader leaves a window of output un-sent:
+  // ACKs are cumulative, so the next one covers these bytes too.
+  if ((c.state != Connection::State::kStreaming &&
+       c.state != Connection::State::kReducing) ||
+      c.outUnsent() > options_.windowBytes || c.progress.consumed - c.lastAcked < ackEvery())
+    return;
+  ackConsumed(c);
+}
+
+void Server::ackConsumed(Connection& c) {
+  c.lastAcked = c.progress.consumed;
+  std::vector<std::uint8_t> frames;
+  appendFrame(frames, FrameType::kAck, encodeAck(c.lastAcked));
+  queueOutput(c, std::move(frames));
+}
+
+void Server::handleFrame(Connection& c, Frame& f) {
   switch (c.state) {
     case Connection::State::kHandshake: {
       if (f.type != FrameType::kHello) {
@@ -348,14 +439,15 @@ void Server::handleFrame(Connection& c, const Frame& f) {
                          ")");
         return;
       }
+      core::ReductionConfig config;
       try {
-        c.config = core::ReductionConfig::fromName(hello.config);
+        config = core::ReductionConfig::fromName(hello.config);
       } catch (const std::invalid_argument& e) {
         sendError(c, e.what());
         return;
       }
-      c.config.executor = &pool_;
-      c.feeder = std::make_unique<TraceStreamFeeder>(c.config, options_.windowBytes);
+      config.executor = &pool_;
+      c.strand = std::make_shared<Strand>(c.id, config, options_.windowBytes);
       WelcomePayload welcome;
       welcome.windowBytes = options_.windowBytes;
       std::vector<std::uint8_t> frames;
@@ -367,22 +459,7 @@ void Server::handleFrame(Connection& c, const Frame& f) {
     case Connection::State::kStreaming: {
       if (f.type == FrameType::kData) {
         c.dataBytes += f.payload.size();
-        try {
-          c.feeder->push(f.payload.data(), f.payload.size());
-        } catch (const std::exception& e) {
-          sendError(c, e.what());
-          return;
-        }
-        c.payloadConsumed += f.payload.size();
-        const std::uint64_t ackEvery = options_.ackEveryBytes != 0
-                                           ? options_.ackEveryBytes
-                                           : options_.windowBytes / 4 + 1;
-        if (c.payloadConsumed - c.lastAcked >= ackEvery) {
-          c.lastAcked = c.payloadConsumed;
-          std::vector<std::uint8_t> frames;
-          appendFrame(frames, FrameType::kAck, encodeAck(c.payloadConsumed));
-          queueOutput(c, std::move(frames));
-        }
+        if (!f.payload.empty()) enqueue(c.strand, std::move(f.payload));
         return;
       }
       if (f.type == FrameType::kEnd) {
@@ -391,16 +468,7 @@ void Server::handleFrame(Connection& c, const Frame& f) {
           return;
         }
         c.state = Connection::State::kReducing;
-        Job job;
-        job.connId = c.id;
-        job.feeder = std::move(c.feeder);
-        job.config = c.config;
-        job.dataBytes = c.dataBytes;
-        {
-          std::lock_guard<std::mutex> lock(reducerMutex_);
-          jobs_.push_back(std::move(job));
-        }
-        reducerCv_.notify_one();
+        enqueue(c.strand, {});
         return;
       }
       sendError(c, std::string("unexpected ") + frameTypeName(f.type) +
@@ -415,83 +483,133 @@ void Server::handleFrame(Connection& c, const Frame& f) {
   }
 }
 
-void Server::drainCompleted() {
-  std::deque<Completed> done;
+void Server::enqueue(const std::shared_ptr<Strand>& s, std::vector<std::uint8_t> payload) {
   {
-    std::lock_guard<std::mutex> lock(reducerMutex_);
-    done.swap(completed_);
+    std::lock_guard<std::mutex> lock(s->mutex);
+    if (s->cancelled) return;
+    if (payload.empty())
+      s->ended = true;  // an empty payload queues END
+    else
+      s->payloads.push_back(std::move(payload));
+    if (s->scheduled) return;  // the running task will get to it
+    s->scheduled = true;
   }
-  for (Completed& d : done) {
-    const auto it = conns_.find(d.connId);
-    if (it == conns_.end()) continue;  // client vanished mid-reduce
-    Connection& c = *it->second;
-    if (c.dead) continue;
-    c.servedTrace = d.ok;
-    if (!d.ok) {
-      std::lock_guard<std::mutex> lock(metricsMutex_);
-      ++metrics_.protocolErrors;
+  ingest_->submit([this, s] { runStrand(*s); });
+}
+
+void Server::runStrand(Strand& s) {
+  try {
+    for (;;) {
+      std::vector<std::uint8_t> payload;
+      {
+        std::lock_guard<std::mutex> lock(s.mutex);
+        if (s.cancelled || (s.payloads.empty() && !s.ended)) {
+          s.scheduled = false;
+          return;
+        }
+        if (s.payloads.empty()) break;  // END, behind every payload
+        payload = std::move(s.payloads.front());
+        s.payloads.pop_front();
+      }
+      // Push in ACK-sized slices and publish each, so the client's window
+      // reopens while the rest of the payload is still decoding.
+      const std::size_t size = payload.size();
+      for (std::size_t off = 0; off < size;) {
+        const std::size_t n = std::min<std::size_t>(ackEvery(), size - off);
+        const auto t0 = std::chrono::steady_clock::now();
+        s.feeder.push(payload.data() + off, n);
+        s.feedMs += msSince(t0);
+        off += n;
+        s.progress.consumed += n;
+        s.progress.tail = s.feeder.pendingBytes();
+        if (off == size) {
+          payload = {};
+          s.progress.released = s.progress.consumed;
+        }
+        if (!publish(s)) return;  // cancelled: drop the rest
+      }
     }
-    c.state = Connection::State::kDraining;
-    queueOutput(c, std::move(d.frames));
-    noteBuffered(c);
+
+    core::ReductionResult result;
+    double reduceMs = 0;
+    {
+      std::lock_guard<std::mutex> lock(finishMutex_);
+      const auto t0 = std::chrono::steady_clock::now();
+      result = s.feeder.finishStream();
+      reduceMs = msSince(t0);
+    }
+    Reply reply;
+    reply.frames = replyFrames(s.config, result, s.feeder.recordsFed(),
+                               s.progress.consumed, s.feedMs, reduceMs);
+    reply.ok = true;
+    {
+      std::lock_guard<std::mutex> lock(metricsMutex_);
+      ++metrics_.tracesServed;
+    }
+    publish(s, &reply);
+  } catch (const std::exception& e) {
+    Reply reply;
+    appendFrame(reply.frames, FrameType::kError, encodeError(e.what()));
+    publish(s, &reply);
+    s.cancel();
   }
 }
 
-void Server::reducerLoop() {
-  for (;;) {
-    Job job;
+bool Server::publish(Strand& s, Reply* reply) {
+  bool wake = false;
+  bool live = false;
+  {
+    std::lock_guard<std::mutex> lock(s.mutex);
+    s.published = s.progress;
+    if (reply) s.reply = std::move(*reply);
+    wake = !s.posted;
+    s.posted = true;
+    live = !s.cancelled;
+  }
+  if (wake) {
     {
-      std::unique_lock<std::mutex> lock(reducerMutex_);
-      reducerCv_.wait(lock, [&] { return reducerQuit_ || !jobs_.empty(); });
-      if (jobs_.empty()) {
-        if (reducerQuit_) return;
-        continue;
-      }
-      job = std::move(jobs_.front());
-      jobs_.pop_front();
-    }
-
-    Completed done;
-    done.connId = job.connId;
-    try {
-      const auto t0 = std::chrono::steady_clock::now();
-      const core::ReductionResult result = job.feeder->finishStream();
-      const double ms = std::chrono::duration<double, std::milli>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
-      const std::vector<std::uint8_t> trr = serializeReducedTrace(result.reduced);
-
-      core::ReportRows rows = core::reductionReportRows(
-          job.config, result, job.feeder->recordsFed(), job.dataBytes);
-      rows.emplace_back("reduce wall ms", fmtF(ms, 1));
-      const core::ReportRows counterRows = core::matchCounterRows(result.counters);
-      rows.insert(rows.end(), counterRows.begin(), counterRows.end());
-
-      appendFrame(done.frames, FrameType::kStats, encodeStats(rows));
-      for (std::size_t off = 0; off < trr.size() || off == 0;) {
-        const std::size_t n = std::min(kMaxFramePayload, trr.size() - off);
-        appendFrame(done.frames, FrameType::kResult, trr.data() + off, n);
-        off += n;
-        if (n == 0) break;
-      }
-      appendFrame(done.frames, FrameType::kEnd, nullptr, 0);
-      done.ok = true;
-      {
-        std::lock_guard<std::mutex> lock(metricsMutex_);
-        ++metrics_.tracesServed;
-      }
-    } catch (const std::exception& e) {
-      done.frames.clear();
-      appendFrame(done.frames, FrameType::kError, encodeError(e.what()));
-      done.ok = false;
-    }
-
-    {
-      std::lock_guard<std::mutex> lock(reducerMutex_);
-      completed_.push_back(std::move(done));
+      std::lock_guard<std::mutex> lock(completedMutex_);
+      completed_.push_back(s.connId);
     }
     const char b = 'x';
     [[maybe_unused]] const ssize_t rc = ::write(wakeWrite_.get(), &b, 1);
+  }
+  return live;
+}
+
+void Server::drainCompleted() {
+  std::deque<std::uint64_t> ids;
+  {
+    std::lock_guard<std::mutex> lock(completedMutex_);
+    ids.swap(completed_);
+  }
+  for (const std::uint64_t id : ids) {
+    const auto it = conns_.find(id);
+    if (it == conns_.end()) continue;  // swept: its strand is cancelled
+    Connection& c = *it->second;
+    std::optional<Reply> reply;
+    {
+      std::lock_guard<std::mutex> lock(c.strand->mutex);
+      c.strand->posted = false;
+      c.progress = c.strand->published;
+      reply.swap(c.strand->reply);
+    }
+    if (c.dead || c.state == Connection::State::kDraining) continue;  // ERROR queued
+    if (!reply) {
+      maybeAck(c);
+    } else {
+      // The reply follows an ACK of the whole stream, window or not: it is
+      // the last ACK, at most one frame.
+      if (reply->ok && c.progress.consumed > c.lastAcked) ackConsumed(c);
+      c.servedTrace = reply->ok;
+      if (!reply->ok) {
+        std::lock_guard<std::mutex> lock(metricsMutex_);
+        ++metrics_.protocolErrors;
+      }
+      c.state = Connection::State::kDraining;
+      queueOutput(c, std::move(reply->frames));
+    }
+    noteBuffered(c);
   }
 }
 

@@ -1,44 +1,51 @@
 // The `tracered serve` daemon: a concurrent trace-ingest server over
 // ReductionSession.
 //
-// One poll-loop thread owns all sockets and connection state; one reducer
-// thread runs ReductionSession::finish() for completed streams, sharing a
-// single PooledExecutor across every connection (finishes are serialized,
-// each using the pool's full width — PooledExecutor::shard must be entered
-// from one thread at a time). The deterministic core is untouched: a
-// connection is HELLO -> WELCOME -> DATA* -> END on the wire and exactly
-// `feeder.push()* ; finishStream()` inside, so every reduced trace a daemon
-// returns is byte-identical to `tracered reduce` of the same bytes.
+// Threading. One poll-loop thread owns every socket and connection: it only
+// accepts, cuts frames, hands DATA payloads off and flushes replies. All
+// trace work runs on a server-owned ingest ThreadPool (hardware concurrency,
+// at least 2 workers). Each connection has a *strand*: a FIFO of its DATA
+// payloads and END, run in order by whichever ingest worker is free, at
+// most one at a time per strand, so one connection's pushes and its finish
+// stay ordered while different connections decode, segment and match
+// concurrently. A small request is therefore never stuck behind the chunks
+// of a large stream on the poll loop. Finishes shard through the one shared
+// PooledExecutor, whose shard() admits one caller at a time, so finishes
+// take a mutex and run one at a time, each at the pool's full width.
+// Workers post their progress and replies back through a queue and the wake
+// pipe. The deterministic core is untouched: a connection is HELLO ->
+// WELCOME -> DATA* -> END on the wire and exactly `feeder.push()* ;
+// finishStream()` inside, so every reduced trace a daemon returns is
+// byte-identical to `tracered reduce` of the same bytes.
 //
 // Per-connection memory is bounded by construction (the backpressure story,
 // docs/SERVE.md §4, after derecho's P2PConnections ring-buffers + sequence
-// numbers): the input buffer is a fixed `windowBytes`-capacity ring the
-// socket is only read into when space is free, ACK frames carry the
-// cumulative consumed-byte sequence number that well-behaved clients window
-// on, and once more than `windowBytes` of un-sent output (acks a stalled
-// reader refuses to drain) accumulates, the connection's socket is simply
-// not read until the peer drains — so neither a blasting producer nor a
-// stalled consumer can grow server memory beyond the configured window
-// (tested, via Metrics::peakConnBufferedBytes).
+// numbers): the socket is only read while the input ring plus the bytes
+// handed to the strand but not yet consumed by a worker fit one window; ACK
+// frames carry the cumulative count of bytes a worker has consumed, which
+// well-behaved clients window on; and once more than `windowBytes` of
+// un-sent output accumulates (a stalled reader), the socket is not read and
+// no further ACK is minted until the peer drains — so neither a blasting
+// producer nor a stalled consumer can grow server memory beyond a few
+// windows (tested, via Metrics::peakConnBufferedBytes).
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/reduction_config.hpp"
-#include "serve/feeder.hpp"
 #include "serve/protocol.hpp"
 #include "util/executor.hpp"
 #include "util/socket.hpp"
+#include "util/thread_pool.hpp"
 
 namespace tracered::serve {
 
@@ -55,9 +62,10 @@ struct ServerOptions {
   /// Stop after serving this many traces; 0 = run until stop(). The hook
   /// scripted one-shot runs (cookbook, CLI tests) use for clean teardown.
   std::uint64_t maxTraces = 0;
-  /// ACK after this many consumed payload bytes; 0 = windowBytes/4 + 1.
-  /// Tests shrink it to make ack traffic dense enough to exercise the
-  /// stalled-reader pause at small scale.
+  /// ACK after this many consumed payload bytes (also the slice a worker
+  /// pushes between progress reports); 0 = windowBytes/4 + 1. Tests shrink
+  /// it to make ack traffic dense enough to exercise the stalled-reader
+  /// pause at small scale.
   std::uint64_t ackEveryBytes = 0;
   /// SO_SNDBUF for accepted connections; 0 = OS default. Shrinking it makes
   /// the kernel stop absorbing un-drained acks early, again for backpressure
@@ -88,25 +96,30 @@ class Server {
     std::uint64_t tracesServed = 0;      ///< RESULT delivered and drained
     std::uint64_t protocolErrors = 0;    ///< ERROR frames sent
     std::uint64_t abruptDisconnects = 0; ///< peer vanished mid-conversation
-    /// Max over time and connections of (input ring + undecoded parse tail +
-    /// un-sent output) — the number the backpressure tests bound.
+    /// Max over time and connections of (input ring + DATA held by the
+    /// strand + undecoded parse tail + un-sent output) — the number the
+    /// backpressure tests bound.
     std::size_t peakConnBufferedBytes = 0;
   };
   Metrics metrics() const;
 
  private:
   struct Connection;
-  struct Job;        ///< completed stream handed to the reducer thread
-  struct Completed;  ///< reducer's reply frames handed back to the poll loop
+  struct Strand;  ///< a connection's ordered hand-off to the ingest pool
+  struct Reply;   ///< a strand's terminal frames (reply or ERROR)
 
   void pollLoop();
   void acceptPending(int listenFd);
-  void readable(Connection& c);
+  void readable(Connection& c, bool hungUp);
   void writable(Connection& c);
-  void handleFrame(Connection& c, const Frame& f);
+  void handleFrame(Connection& c, Frame& f);
   void sendError(Connection& c, const std::string& message);
   void queueOutput(Connection& c, std::vector<std::uint8_t> bytes);
-  void reducerLoop();
+  void maybeAck(Connection& c);
+  void ackConsumed(Connection& c);
+  void enqueue(const std::shared_ptr<Strand>& s, std::vector<std::uint8_t> payload);
+  void runStrand(Strand& s);
+  bool publish(Strand& s, Reply* reply = nullptr);
   void drainCompleted();
   void noteBuffered(const Connection& c);
 
@@ -115,11 +128,17 @@ class Server {
   std::size_t inRingCapacity() const {
     return options_.windowBytes + kFrameHeaderBytes;
   }
+  /// Consumed bytes per ACK, and per feeder push on a worker.
+  std::uint64_t ackEvery() const {
+    return options_.ackEveryBytes != 0 ? options_.ackEveryBytes
+                                       : options_.windowBytes / 4 + 1;
+  }
 
   ServerOptions options_;
   std::vector<util::Fd> listeners_;
   util::Fd wakeRead_, wakeWrite_;
   util::PooledExecutor pool_;
+  std::mutex finishMutex_;  ///< pool_.shard admits one caller at a time
 
   std::map<std::uint64_t, std::unique_ptr<Connection>> conns_;
   std::uint64_t nextConnId_ = 1;
@@ -127,14 +146,15 @@ class Server {
 
   std::atomic<bool> stop_{false};
 
-  std::mutex reducerMutex_;
-  std::condition_variable reducerCv_;
-  std::deque<Job> jobs_;
-  std::deque<Completed> completed_;
-  bool reducerQuit_ = false;
+  std::mutex completedMutex_;
+  std::deque<std::uint64_t> completed_;  ///< connections whose strand has news
 
   mutable std::mutex metricsMutex_;
   Metrics metrics_;
+
+  /// Runs the strands; lives for one run() and is joined before it returns.
+  /// Declared last: its tasks use every member above.
+  std::optional<util::ThreadPool> ingest_;
 };
 
 }  // namespace tracered::serve

@@ -10,7 +10,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <iterator>
 #include <cstring>
 #include <optional>
 #include <stdexcept>
@@ -654,6 +656,163 @@ TEST(ServeDaemon, StalledReaderBackpressureCapsBufferedBytes) {
   EXPECT_TRUE(statsSeen);
   EXPECT_EQ(lastAck, bytes.size());
   EXPECT_EQ(trr, expected);
+}
+
+TEST(ServeDaemon, AcksCountOnlyBytesAWorkerConsumed) {
+  // A well-behaved client windowing on the ACKs, in odd-sized frames: every
+  // ACK is a cumulative count of bytes a worker pushed, so it never falls
+  // back and never runs ahead of what was sent, and the reply follows an
+  // ACK of the whole stream.
+  const std::size_t window = 4096;
+  const Trace trace = smallTrace("late_sender", 1.0);
+  const std::vector<std::uint8_t> bytes = serializeFullTrace(trace);
+  ASSERT_GT(bytes.size(), 8 * window) << "trace too small to span many windows";
+  const std::vector<std::uint8_t> expected = offlineReduceBytes(trace, "avgWave@0.2");
+
+  RunningServer server(unixOptions(window));
+  RawClient client(server->boundAddresses().at(0));
+  client.sendFrame(FrameType::kHello, encodeHello({kProtocolVersion, "avgWave@0.2"}));
+  std::optional<Frame> welcome = client.recvFrame();
+  ASSERT_TRUE(welcome && welcome->type == FrameType::kWelcome);
+
+  const std::size_t frameSizes[] = {1, 777, 4093, 2048, 333};
+  std::size_t sent = 0;
+  std::size_t frames = 0;
+  std::uint64_t lastAck = 0;
+  std::size_t acks = 0;
+  bool endSent = false;
+  bool endSeen = false;
+  std::vector<std::uint8_t> trr;
+  std::vector<std::pair<std::string, std::string>> stats;
+  while (!endSeen) {
+    // Send what the window allows, then block on the server.
+    while (!endSent) {
+      if (sent == bytes.size()) {
+        client.sendFrame(FrameType::kEnd, {});
+        endSent = true;
+        break;
+      }
+      const std::size_t n = std::min({frameSizes[frames % std::size(frameSizes)],
+                                      window - static_cast<std::size_t>(sent - lastAck),
+                                      bytes.size() - sent});
+      if (n == 0) break;
+      client.sendFrame(FrameType::kData,
+                       std::vector<std::uint8_t>(
+                           bytes.begin() + static_cast<std::ptrdiff_t>(sent),
+                           bytes.begin() + static_cast<std::ptrdiff_t>(sent + n)));
+      sent += n;
+      ++frames;
+    }
+    std::optional<Frame> f = client.recvFrame();
+    ASSERT_TRUE(f) << "server closed before END";
+    switch (f->type) {
+      case FrameType::kAck: {
+        const std::uint64_t ack = decodeAck(f->payload);
+        EXPECT_GE(ack, lastAck) << "ACK sequence numbers must be cumulative";
+        EXPECT_LE(ack, sent) << "ACK ran ahead of the bytes sent";
+        lastAck = ack;
+        ++acks;
+        break;
+      }
+      case FrameType::kStats:
+        stats = decodeStats(f->payload);
+        break;
+      case FrameType::kResult:
+        trr.insert(trr.end(), f->payload.begin(), f->payload.end());
+        break;
+      case FrameType::kEnd:
+        endSeen = true;
+        break;
+      case FrameType::kError:
+        FAIL() << "server error: " << decodeError(f->payload);
+      default:
+        FAIL() << "unexpected frame " << frameTypeName(f->type);
+    }
+  }
+  EXPECT_GE(acks, bytes.size() / window);
+  EXPECT_EQ(lastAck, bytes.size());
+  EXPECT_EQ(trr, expected);
+
+  // The daemon's own timings, at microsecond resolution.
+  for (const char* key : {"feed wall ms", "reduce wall ms"}) {
+    const auto row = std::find_if(stats.begin(), stats.end(),
+                                  [&](const auto& kv) { return kv.first == key; });
+    ASSERT_NE(row, stats.end()) << "STATS rows missing '" << key << "'";
+    const std::size_t dot = row->second.find('.');
+    ASSERT_NE(dot, std::string::npos) << key << " = " << row->second;
+    EXPECT_EQ(row->second.size() - dot - 1, 3u) << key << " = " << row->second;
+  }
+}
+
+TEST(ServeDaemon, BadFrameAfterValidDataIsOneErrorAndNothingAfter) {
+  // Two ways a stream can fail after good DATA: bytes the worker rejects
+  // (trailing bytes after a complete trace) and a frame the poll loop
+  // rejects (a server-only type). Either way the client sees exactly one
+  // ERROR, last — no ACK for the dropped strand follows it — and the next
+  // client is served normally. ACKs are dense so a late one would show.
+  const Trace trace = smallTrace();
+  const std::vector<std::uint8_t> bytes = serializeFullTrace(trace);
+  ASSERT_LE(bytes.size(), kMaxFramePayload);
+  const std::vector<std::uint8_t> expected = offlineReduceBytes(trace, "relDiff");
+
+  ServerOptions options = unixOptions();
+  options.ackEveryBytes = 1;
+  RunningServer server(options);
+  const std::string addr = server->boundAddresses().at(0);
+  const std::pair<FrameType, std::vector<std::uint8_t>> badFrames[] = {
+      {FrameType::kData, {'x'}}, {FrameType::kAck, {}}};
+  for (const auto& [type, payload] : badFrames) {
+    SCOPED_TRACE(frameTypeName(type));
+    RawClient client(addr);
+    client.sendFrame(FrameType::kHello, encodeHello({kProtocolVersion, "relDiff"}));
+    std::optional<Frame> welcome = client.recvFrame();
+    ASSERT_TRUE(welcome && welcome->type == FrameType::kWelcome);
+    client.sendFrame(FrameType::kData, bytes);
+    client.sendFrame(type, payload);
+
+    std::size_t errors = 0;
+    std::optional<Frame> f;
+    while ((f = client.recvFrame())) {
+      EXPECT_EQ(errors, 0u) << frameTypeName(f->type) << " frame after the ERROR";
+      if (f->type == FrameType::kError) {
+        ++errors;
+      } else {
+        ASSERT_EQ(f->type, FrameType::kAck);
+        EXPECT_LE(decodeAck(f->payload), bytes.size());
+      }
+    }
+    EXPECT_EQ(errors, 1u);
+  }
+
+  const RemoteReduceResult rr =
+      reduceRemote(addr, "relDiff", bytes.data(), bytes.size(), 2000);
+  EXPECT_EQ(rr.trrBytes, expected);
+  EXPECT_EQ(server->metrics().protocolErrors, 2u);
+}
+
+TEST(ServeDaemon, StopMidFeedReturnsAndJoins) {
+  // stop() while a worker is pushing a stream: run() cancels the strand,
+  // joins the ingest pool and returns. One-byte slices keep the worker busy
+  // for the whole payload long after its first ACK.
+  const Trace trace = smallTrace("late_sender", 4.0);
+  const std::vector<std::uint8_t> bytes = serializeFullTrace(trace);
+  ASSERT_LE(bytes.size(), kMaxFramePayload);
+
+  ServerOptions options = unixOptions();
+  options.ackEveryBytes = 1;
+  Server server(std::move(options));
+  std::thread t([&] { server.run(); });
+  RawClient client(server.boundAddresses().at(0));
+  client.sendFrame(FrameType::kHello, encodeHello({kProtocolVersion, "relDiff"}));
+  std::optional<Frame> welcome = client.recvFrame();
+  ASSERT_TRUE(welcome && welcome->type == FrameType::kWelcome);
+  client.sendFrame(FrameType::kData, bytes);
+  std::optional<Frame> ack = client.recvFrame();  // a worker has started feeding
+  ASSERT_TRUE(ack && ack->type == FrameType::kAck);
+
+  server.stop();
+  t.join();
+  EXPECT_EQ(server.metrics().tracesServed, 0u);
 }
 
 TEST(ServeDaemon, MaxTracesStopsTheServerAfterServing) {

@@ -32,11 +32,11 @@ core::ProgressFn progressPrinter() {
   };
 }
 
-/// STATS keys the batch path only prints under --stats; the remote path
-/// filters the server's rows by the same set so both modes show the same
-/// table for the same flags.
+/// STATS keys the batch path only prints under --stats, plus the daemon-only
+/// `feed wall ms`; the remote path filters the server's rows by the same set
+/// so both modes show the same table for the same flags.
 bool isStatsRow(const std::string& key) {
-  return key == "reduce wall ms" || key == "reps scanned" ||
+  return key == "reduce wall ms" || key == "feed wall ms" || key == "reps scanned" ||
          key == "reps visited (exact)" || key == "index pruned" ||
          key == "index prune rate" || key == "pivot distance evals";
 }
@@ -170,7 +170,7 @@ int runReduce(const CliArgs& args) {
   rows.insert(rows.begin() + 1, {{"mode", streaming ? "streaming" : "offline"},
                                  {"input", input + " (" + formatName(reader.format()) + ")"}});
   if (stats) {
-    rows.emplace_back("reduce wall ms", fmtF(reduceMs, 1));
+    rows.emplace_back("reduce wall ms", fmtF(reduceMs, 3));
     const core::ReportRows counterRows = core::matchCounterRows(result.counters);
     rows.insert(rows.end(), counterRows.begin(), counterRows.end());
   }

@@ -85,7 +85,8 @@ CliCommand makeServeCommand() {
        "per-connection receive window: input ring capacity and backpressure "
        "bound (default 262144)"},
       {"threads", "<n>",
-       "shared reduction pool width; 0 = hardware concurrency (default 0)"},
+       "width of the shared pool every finish shards through; 0 = hardware "
+       "concurrency (default 0)"},
       {"max-clients", "<n>", "concurrent connection cap (default 256)"},
       {"max-traces", "<n>",
        "exit after serving this many traces; 0 = run until SIGINT/SIGTERM "
