@@ -61,11 +61,11 @@ void signatureAblation(const BenchOptions& opts) {
   for (const auto& rank : st.ranks) {
     std::set<std::uint64_t> bySignature;
     std::set<NameId> byContext;
-    for (const auto& seg : rank.segments) {
+    for (const SegmentView seg : rank) {
       bySignature.insert(seg.signature());
       byContext.insert(seg.context);
     }
-    total += rank.segments.size();
+    total += rank.size();
     fullGroups += bySignature.size();
     contextGroups += byContext.size();
   }

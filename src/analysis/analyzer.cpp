@@ -44,7 +44,7 @@ SeverityCube analyze(const SegmentedTrace& trace, const AnalyzerOptions& opts) {
   std::vector<std::vector<AbsEvent>> collectives(static_cast<std::size_t>(numRanks));
 
   for (const RankSegments& rank : trace.ranks) {
-    for (const Segment& seg : rank.segments) {
+    for (const SegmentView seg : rank) {
       for (const EventInterval& e : seg.events) {
         AbsEvent ev;
         ev.name = e.name;

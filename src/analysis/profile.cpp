@@ -24,7 +24,7 @@ void FunctionStats::add(double durationUs) {
 Profile Profile::fromTrace(const SegmentedTrace& trace) {
   Profile p;
   for (const RankSegments& rank : trace.ranks) {
-    for (const Segment& seg : rank.segments) {
+    for (const SegmentView seg : rank) {
       for (const EventInterval& e : seg.events) {
         p.cells_[{e.name, rank.rank}].add(static_cast<double>(e.duration()));
       }

@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "core/reconstruct.hpp"
 #include "core/reducer.hpp"
 
 namespace tracered::core {
@@ -13,19 +14,14 @@ namespace tracered::core {
 SegmentedTrace reconstructMerged(const MergedReducedTrace& merged) {
   SegmentedTrace out;
   out.ranks.resize(merged.execs.size());
+  std::vector<std::size_t> offsets;
   for (std::size_t r = 0; r < merged.execs.size(); ++r) {
     RankSegments& rs = out.ranks[r];
     // Ranks fed sparsely (e.g. through a streaming ReductionSession) keep
     // their real ids; hand-built traces without rankIds fall back to
     // positional labels.
     rs.rank = r < merged.rankIds.size() ? merged.rankIds[r] : static_cast<Rank>(r);
-    rs.segments.reserve(merged.execs[r].size());
-    for (const SegmentExec& e : merged.execs[r]) {
-      Segment seg = merged.sharedStore.at(e.id);
-      seg.absStart = e.start;
-      seg.rank = rs.rank;
-      rs.segments.push_back(std::move(seg));
-    }
+    stampExecs(rs, merged.sharedStore, merged.execs[r], offsets);
   }
   return out;
 }
@@ -87,7 +83,8 @@ void CrossRankMerger::flushShard() {
   std::vector<std::vector<std::uint64_t>> sigs(nUnits);
   for (std::size_t unit = 0; unit < nUnits; ++unit) {
     sigs[unit].reserve(pending_[unit].stored.size());
-    for (const Segment& rep : pending_[unit].stored) sigs[unit].push_back(rep.signature());
+    for (const Segment& rep : pending_[unit].stored)
+      sigs[unit].push_back(rep.view().signature());
   }
 
   // Step 1 — probe: test every candidate of the shard against the store

@@ -11,7 +11,7 @@ RankReductionEngine::RankReductionEngine(Rank rank, SimilarityPolicy& policy)
   counterBase_ = policy_.matchCounters();
 }
 
-void RankReductionEngine::consume(const Segment& seg) {
+void RankReductionEngine::consume(const SegmentView& seg) {
   if (finished_)
     throw std::logic_error("rank reduction engine: consume after finish");
   ++stats_.totalSegments;
@@ -52,10 +52,8 @@ RankReduced RankReductionEngine::finish() {
 }
 
 std::size_t RankReductionEngine::retainedBytes() const {
-  std::size_t bytes = result_.execs.size() * sizeof(SegmentExec);
-  for (const Segment& s : store_.all())
-    bytes += sizeof(Segment) + s.events.size() * sizeof(EventInterval);
-  return bytes;
+  return result_.execs.size() * sizeof(SegmentExec) +
+         store_.eventCount() * sizeof(EventInterval);
 }
 
 }  // namespace tracered::core

@@ -58,8 +58,9 @@ class RankReductionEngine {
   RankReductionEngine(Rank rank, SimilarityPolicy& policy);
 
   /// Matches `seg` (rebased: events relative to absStart) against the store,
-  /// or stores it as a new representative; records the exec either way.
-  void consume(const Segment& seg);
+  /// or stores a copy as a new representative; records the exec either way.
+  /// The view need not outlive the call.
+  void consume(const SegmentView& seg);
 
   /// Completes the rank: finalizes the accounting, runs the policy's
   /// finishRank hook (iter_avg writes back averages here) and moves the
@@ -78,9 +79,10 @@ class RankReductionEngine {
   /// time, which is exactly this contract.
   MatchCounters counters() const;
 
-  /// Approximate bytes of retained data (stored segments + execs) — the
-  /// number an online tool watches to decide when to spill. Meaningful only
-  /// until finish(), which moves the retained data into the result.
+  /// Approximate bytes of retained data (the stored representatives' events
+  /// + the exec table) — the number an online tool watches to decide when to
+  /// spill. Meaningful only until finish(), which moves the retained data
+  /// into the result.
   std::size_t retainedBytes() const;
 
  private:

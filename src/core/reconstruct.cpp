@@ -20,26 +20,38 @@ ReductionStats statsFromReduced(const ReducedTrace& reduced) {
     stats.storedSegments += rr.stored.size();
     stats.matches += rr.execs.size() - rr.stored.size();
     std::unordered_set<std::uint64_t> groups;
-    for (const Segment& s : rr.stored) groups.insert(s.signature());
+    for (const Segment& s : rr.stored) groups.insert(s.view().signature());
     stats.possibleMatches += rr.execs.size() - groups.size();
   }
   return stats;
 }
 
+void stampExecs(RankSegments& out, std::span<const Segment> representatives,
+                std::span<const SegmentExec> execs, std::vector<std::size_t>& offsets) {
+  constexpr std::size_t kUnstamped = static_cast<std::size_t>(-1);
+  offsets.assign(representatives.size(), kUnstamped);
+  out.reserve(execs.size(), 0);
+  for (const SegmentExec& exec : execs) {
+    if (exec.id >= representatives.size())
+      throw std::out_of_range("reconstruct: rank " + std::to_string(out.rank) +
+                              ": exec references representative " +
+                              std::to_string(exec.id) + " of " +
+                              std::to_string(representatives.size()));
+    const Segment& rep = representatives[exec.id];  // relative times
+    std::size_t& offset = offsets[exec.id];
+    if (offset == kUnstamped) offset = out.appendEvents(rep.events);
+    out.addShared({rep.context, exec.start, rep.end, offset, rep.events.size()});
+  }
+}
+
 SegmentedTrace reconstruct(const ReducedTrace& reduced) {
   SegmentedTrace out;
-  out.ranks.reserve(reduced.ranks.size());
-  for (const RankReduced& rr : reduced.ranks) {
-    RankSegments rs;
-    rs.rank = rr.rank;
-    rs.segments.reserve(rr.execs.size());
-    for (const SegmentExec& exec : rr.execs) {
-      Segment seg = rr.stored.at(exec.id);  // relative times, absStart == 0
-      seg.absStart = exec.start;
-      seg.rank = rr.rank;
-      rs.segments.push_back(std::move(seg));
-    }
-    out.ranks.push_back(std::move(rs));
+  out.ranks.resize(reduced.ranks.size());
+  std::vector<std::size_t> offsets;
+  for (std::size_t r = 0; r < reduced.ranks.size(); ++r) {
+    const RankReduced& rr = reduced.ranks[r];
+    out.ranks[r].rank = rr.rank;
+    stampExecs(out.ranks[r], rr.stored, rr.execs, offsets);
   }
   return out;
 }

@@ -23,7 +23,7 @@ struct RankOutcome {
 /// Runs the Sec. 3.1 loop for one rank through the shared engine.
 RankOutcome reduceRank(const RankSegments& rank, SimilarityPolicy& policy) {
   RankReductionEngine engine(rank.rank, policy);
-  for (const Segment& seg : rank.segments) engine.consume(seg);
+  for (const SegmentView seg : rank) engine.consume(seg);
   RankReduced reduced = engine.finish();
   return {std::move(reduced), engine.stats(), engine.counters()};
 }
@@ -100,7 +100,7 @@ ReductionResult reduceTrace(const SegmentedTrace& segmented, const StringTable& 
   // (e.g. sampling.hpp's RandomSamplingPolicy, which seeds its RNG from a
   // per-policy rank counter) would vary with scheduling. Every method
   // reachable through makePolicy satisfies the constraint; keep it that way
-  // (or switch such a policy to keying off Segment::rank) before adding one
+  // (or switch such a policy to keying off SegmentView::rank) before adding one
   // to the Method enum.
   std::vector<std::unique_ptr<SimilarityPolicy>> policies;
   policies.reserve(workers);

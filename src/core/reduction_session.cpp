@@ -35,7 +35,11 @@ void ReductionSession::feed(Rank rank, const RawRecord& record) {
   if (finished_)
     throw std::logic_error("reduction session: feed after the session finished");
   if (lastLane_ == nullptr || lastLane_->segmenter.rank() != rank) lastLane_ = &lane(rank);
-  if (Segment* closed = lastLane_->segmenter.push(record)) lastLane_->engine.consume(*closed);
+  Lane& l = *lastLane_;
+  if (const SegmentHeader* closed = l.segmenter.push(record, l.pool)) {
+    l.engine.consume(closed->view(rank, l.pool));
+    l.pool.clear();
+  }
   ++recordsFed_;
 }
 

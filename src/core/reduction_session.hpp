@@ -36,6 +36,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "core/cross_rank.hpp"
 #include "core/rank_reduction_engine.hpp"
@@ -123,11 +124,15 @@ class ReductionSession {
 
  private:
   /// One streamed rank: its own policy (policies are stateful per rank), the
-  /// record→segment state machine and the matching loop.
+  /// record→segment state machine, the open segment's events and the
+  /// matching loop. The pool is cleared after each closed segment is
+  /// consumed, so its capacity settles at the rank's longest segment and a
+  /// steady stream allocates nothing.
   struct Lane {
     Lane(Rank rank, const StringTable& names, const ReductionConfig& config);
     std::unique_ptr<SimilarityPolicy> policy;
     RankSegmenter segmenter;
+    std::vector<EventInterval> pool;
     RankReductionEngine engine;
   };
 

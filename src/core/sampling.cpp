@@ -7,7 +7,7 @@ namespace tracered::core {
 namespace {
 
 /// Latest stored representative compatible with `candidate`, if any.
-std::optional<SegmentId> lastCompatible(const Segment& candidate, std::uint64_t signature,
+std::optional<SegmentId> lastCompatible(const SegmentView& candidate, std::uint64_t signature,
                                         const SegmentStore& store) {
   std::optional<SegmentId> last;
   for (SegmentId id : store.bucket(signature)) {
@@ -18,7 +18,7 @@ std::optional<SegmentId> lastCompatible(const Segment& candidate, std::uint64_t 
 
 }  // namespace
 
-std::optional<SegmentId> PeriodicSamplingPolicy::tryMatch(const Segment& candidate,
+std::optional<SegmentId> PeriodicSamplingPolicy::tryMatch(const SegmentView& candidate,
                                                           std::uint64_t signature,
                                                           SegmentStore& store) {
   const std::uint64_t index = seen_[signature]++;
@@ -26,7 +26,7 @@ std::optional<SegmentId> PeriodicSamplingPolicy::tryMatch(const Segment& candida
   return lastCompatible(candidate, signature, store);
 }
 
-std::optional<SegmentId> RandomSamplingPolicy::tryMatch(const Segment& candidate,
+std::optional<SegmentId> RandomSamplingPolicy::tryMatch(const SegmentView& candidate,
                                                         std::uint64_t signature,
                                                         SegmentStore& store) {
   const std::uint64_t index = seen_[signature]++;

@@ -28,7 +28,7 @@ class PeriodicSamplingPolicy final : public SimilarityPolicy {
   explicit PeriodicSamplingPolicy(int k) : k_(k < 1 ? 1 : k) {}
   std::string name() const override { return "sample_every_k"; }
   void beginRank() override { seen_.clear(); }
-  std::optional<SegmentId> tryMatch(const Segment& candidate, std::uint64_t signature,
+  std::optional<SegmentId> tryMatch(const SegmentView& candidate, std::uint64_t signature,
                                     SegmentStore& store) override;
 
   int k() const { return k_; }
@@ -48,7 +48,7 @@ class RandomSamplingPolicy final : public SimilarityPolicy {
     seen_.clear();
     ++rankCounter_;
   }
-  std::optional<SegmentId> tryMatch(const Segment& candidate, std::uint64_t signature,
+  std::optional<SegmentId> tryMatch(const SegmentView& candidate, std::uint64_t signature,
                                     SegmentStore& store) override;
 
   double probability() const { return p_; }

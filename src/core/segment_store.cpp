@@ -20,15 +20,15 @@ std::uint64_t nextGeneration() {
 
 SegmentStore::SegmentStore() : generation_(nextGeneration()) {}
 
-SegmentId SegmentStore::add(const Segment& segment) {
+SegmentId SegmentStore::add(const SegmentView& segment) {
   return add(segment, segment.signature());
 }
 
-SegmentId SegmentStore::add(const Segment& segment, std::uint64_t signature) {
+SegmentId SegmentStore::add(const SegmentView& segment, std::uint64_t signature) {
   const SegmentId id = static_cast<SegmentId>(segments_.size());
-  Segment stored = segment;
-  stored.absStart = 0;
-  segments_.push_back(std::move(stored));
+  segments_.push_back(Segment{segment.context, segment.rank, /*absStart=*/0, segment.end,
+                              {segment.events.begin(), segment.events.end()}});
+  eventCount_ += segment.events.size();
   const auto [slot, isNew] = slots_.try_emplace(signature, buckets_.size());
   if (isNew) buckets_.emplace_back();
   buckets_[slot->second].push_back(id);
@@ -37,6 +37,7 @@ SegmentId SegmentStore::add(const Segment& segment, std::uint64_t signature) {
 
 void SegmentStore::clear() {
   segments_.clear();
+  eventCount_ = 0;
   slots_.clear();
   buckets_.clear();
   generation_ = nextGeneration();

@@ -84,15 +84,15 @@ class SegmentStore {
  public:
   SegmentStore();
 
-  /// Adds a new representative. The stored copy keeps its relative event
-  /// times and gets absStart reset to 0 (the representative stands for all
-  /// executions, not a particular one). Returns the assigned id.
-  SegmentId add(const Segment& segment);
+  /// Adds a new representative: an owning copy that keeps the relative
+  /// event times and gets absStart reset to 0 (the representative stands for
+  /// all executions, not a particular one). Returns the assigned id.
+  SegmentId add(const SegmentView& segment);
 
   /// Same, with the segment's signature already computed (hashing the event
   /// list is part of the per-segment hot path; callers that already hold the
   /// hash should not pay for it twice).
-  SegmentId add(const Segment& segment, std::uint64_t signature);
+  SegmentId add(const SegmentView& segment, std::uint64_t signature);
 
   /// Slot of a signature no representative has.
   static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
@@ -125,7 +125,8 @@ class SegmentStore {
   Segment& segment(SegmentId id) { return segments_.at(id); }
 
   std::size_t size() const { return segments_.size(); }
-  const std::vector<Segment>& all() const { return segments_; }
+  /// Events owned by the representatives, summed.
+  std::size_t eventCount() const { return eventCount_; }
   std::vector<Segment> takeAll() && { return std::move(segments_); }
 
   /// Removes every representative, bucket and slot, and renews
@@ -141,6 +142,7 @@ class SegmentStore {
 
  private:
   std::vector<Segment> segments_;
+  std::size_t eventCount_ = 0;
   std::unordered_map<std::uint64_t, std::size_t> slots_;  ///< Signature -> slot.
   std::vector<std::vector<SegmentId>> buckets_;           ///< Indexed by slot.
   std::uint64_t generation_;

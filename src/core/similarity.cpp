@@ -24,14 +24,14 @@ double l2Norm(const std::vector<double>& v) {
   return std::sqrt(acc);
 }
 
-double endKey(const Segment& s) { return std::fabs(static_cast<double>(s.end)); }
+double endKey(const SegmentView& s) { return std::fabs(static_cast<double>(s.end)); }
 
 }  // namespace
 
 // ---------------------------------------------------------------------------
 // DistancePolicy
 
-std::optional<SegmentId> DistancePolicy::tryMatch(const Segment& candidate,
+std::optional<SegmentId> DistancePolicy::tryMatch(const SegmentView& candidate,
                                                   std::uint64_t signature,
                                                   SegmentStore& store) {
   return queryBucket(candidate, store, syncBucket(signature, store), counters_, scratch_);
@@ -41,7 +41,7 @@ void DistancePolicy::sync(std::uint64_t signature, const SegmentStore& store) {
   syncBucket(signature, store);
 }
 
-std::optional<SegmentId> DistancePolicy::query(const Segment& candidate,
+std::optional<SegmentId> DistancePolicy::query(const SegmentView& candidate,
                                                std::uint64_t signature,
                                                const SegmentStore& store,
                                                MatchCounters& counters,
@@ -100,7 +100,7 @@ DistancePolicy::SyncedBucket DistancePolicy::syncBucket(std::uint64_t signature,
   return bucket;
 }
 
-std::optional<SegmentId> DistancePolicy::queryBucket(const Segment& candidate,
+std::optional<SegmentId> DistancePolicy::queryBucket(const SegmentView& candidate,
                                                      const SegmentStore& store,
                                                      const SyncedBucket& bucket,
                                                      MatchCounters& counters,
@@ -118,7 +118,7 @@ std::optional<SegmentId> DistancePolicy::queryBucket(const Segment& candidate,
           continue;
         }
         ++counters.comparisons;
-        const Segment& stored = store.segment(ids[i]);
+        const SegmentView stored = store.segment(ids[i]);
         if (!candidate.compatible(stored)) continue;  // signature collision guard
         if (visits) ++counters.indexVisited;
         if (similar(candidate, stored)) return ids[i];
@@ -170,7 +170,7 @@ double DistancePolicy::indexDistance(const SegmentFeatures& fa,
                                         : std::numeric_limits<double>::quiet_NaN();
 }
 
-void DistancePolicy::onStored(const Segment& segment, SegmentId id) {
+void DistancePolicy::onStored(const SegmentView& segment, SegmentId id) {
   // Element-wise methods derive everything O(1) from the segment itself; only
   // the metric methods bank features (vector + norms) for the stored side.
   if (indexKind() == IndexKind::kMetricPivot) cache_.put(id, features(segment));
@@ -191,14 +191,14 @@ void DistancePolicy::bindStore(const SegmentStore& store) {
   boundGeneration_ = store.generation();
 }
 
-SegmentFeatures DistancePolicy::features(const Segment& s) const {
+SegmentFeatures DistancePolicy::features(const SegmentView& s) const {
   SegmentFeatures f;
   featuresInto(s, f);
   f.vec.shrink_to_fit();  // cached for the store's lifetime: drop any work space
   return f;
 }
 
-void DistancePolicy::featuresInto(const Segment&, SegmentFeatures&) const {
+void DistancePolicy::featuresInto(const SegmentView&, SegmentFeatures&) const {
   throw std::logic_error(name() + ": featuresInto requires a kMetricPivot policy");
 }
 
@@ -220,7 +220,7 @@ double RelDiffPolicy::relDiff(double a, double b) {
   return std::fabs(a - b) / denom;
 }
 
-bool RelDiffPolicy::similar(const Segment& a, const Segment& b) const {
+bool RelDiffPolicy::similar(const SegmentView& a, const SegmentView& b) const {
   return forEachMeasurementPair(
       a, b, [this](double x, double y) { return relDiff(x, y) <= threshold_; });
 }
@@ -232,7 +232,7 @@ KeyWindow RelDiffPolicy::admissibleEndWindow(double candEnd) const {
 // ---------------------------------------------------------------------------
 // absDiff
 
-bool AbsDiffPolicy::similar(const Segment& a, const Segment& b) const {
+bool AbsDiffPolicy::similar(const SegmentView& a, const SegmentView& b) const {
   return forEachMeasurementPair(
       a, b, [this](double x, double y) { return std::fabs(x - y) <= threshold_; });
 }
@@ -271,11 +271,11 @@ double MinkowskiPolicy::distance(Order order, const std::vector<double>& a,
   return order == Order::kEuclidean ? std::sqrt(acc) : acc;
 }
 
-bool MinkowskiPolicy::similar(const Segment& a, const Segment& b) const {
+bool MinkowskiPolicy::similar(const SegmentView& a, const SegmentView& b) const {
   return similarPrepared(a, features(a), b, features(b));
 }
 
-void MinkowskiPolicy::featuresInto(const Segment& s, SegmentFeatures& f) const {
+void MinkowskiPolicy::featuresInto(const SegmentView& s, SegmentFeatures& f) const {
   f.vec.resize(1 + 2 * s.events.size());
   writeDistanceVector(s, f.vec);
   f.maxAbs = maxAbsOf(f.vec);
@@ -291,8 +291,8 @@ void MinkowskiPolicy::featuresInto(const Segment& s, SegmentFeatures& f) const {
   }
 }
 
-bool MinkowskiPolicy::similarPrepared(const Segment&, const SegmentFeatures& fa,
-                                      const Segment&, const SegmentFeatures& fb) const {
+bool MinkowskiPolicy::similarPrepared(const SegmentView&, const SegmentFeatures& fa,
+                                      const SegmentView&, const SegmentFeatures& fb) const {
   const double dist = distance(order_, fa.vec, fb.vec);
   // Eq. 1's acceptance test: distance <= threshold * largest measurement in
   // the pair of vectors (Fig. 2 example: 0.2 * 51 = 10.2).
@@ -307,11 +307,11 @@ double MinkowskiPolicy::pairDistance(const SegmentFeatures& fa,
 // ---------------------------------------------------------------------------
 // Wavelet methods
 
-bool WaveletPolicy::similar(const Segment& a, const Segment& b) const {
+bool WaveletPolicy::similar(const SegmentView& a, const SegmentView& b) const {
   return similarPrepared(a, features(a), b, features(b));
 }
 
-void WaveletPolicy::featuresInto(const Segment& s, SegmentFeatures& f) const {
+void WaveletPolicy::featuresInto(const SegmentView& s, SegmentFeatures& f) const {
   // One buffer: the padded time-stamp vector, then half its length of
   // transform work space, dropped (capacity kept) once the pyramid is done.
   const std::size_t n = wavelet::nextPow2(2 + 2 * s.events.size());
@@ -328,8 +328,8 @@ void WaveletPolicy::featuresInto(const Segment& s, SegmentFeatures& f) const {
   f.norm = l2Norm(f.vec);
 }
 
-bool WaveletPolicy::similarPrepared(const Segment&, const SegmentFeatures& fa,
-                                    const Segment&, const SegmentFeatures& fb) const {
+bool WaveletPolicy::similarPrepared(const SegmentView&, const SegmentFeatures& fa,
+                                    const SegmentView&, const SegmentFeatures& fb) const {
   const double dist = wavelet::euclideanDistance(fa.vec, fb.vec);
   return dist <= threshold_ * std::max(fa.maxAbs, fb.maxAbs);
 }
@@ -354,7 +354,7 @@ void IterKPolicy::beginRank() {
   boundGeneration_ = 0;
 }
 
-std::optional<SegmentId> IterKPolicy::tryMatch(const Segment& candidate,
+std::optional<SegmentId> IterKPolicy::tryMatch(const SegmentView& candidate,
                                                std::uint64_t signature,
                                                SegmentStore& store) {
   if (boundStore_ != &store || boundGeneration_ != store.generation()) {
@@ -372,7 +372,7 @@ std::optional<SegmentId> IterKPolicy::tryMatch(const Segment& candidate,
   index.sync(
       store.bucketAt(slot),
       [&](SegmentId a, SegmentId b) {
-        return store.segment(a).compatible(store.segment(b));
+        return store.segment(a).view().compatible(store.segment(b));
       },
       counters_);
   const CompatClassIndex::ClassCount* cls = index.find(
@@ -392,7 +392,7 @@ namespace {
 
 /// Calls `f(i, m_i)` for each measurement m = [e0.start, e0.end, ..., end].
 template <typename F>
-void forEachMeasurement(const Segment& s, F&& f) {
+void forEachMeasurement(const SegmentView& s, F&& f) {
   std::size_t i = 0;
   for (const auto& e : s.events) {
     f(i++, static_cast<double>(e.start));
@@ -403,7 +403,7 @@ void forEachMeasurement(const Segment& s, F&& f) {
 
 }  // namespace
 
-std::optional<SegmentId> IterAvgPolicy::tryMatch(const Segment& candidate,
+std::optional<SegmentId> IterAvgPolicy::tryMatch(const SegmentView& candidate,
                                                  std::uint64_t signature,
                                                  SegmentStore& store) {
   for (SegmentId id : store.bucket(signature)) {
@@ -417,7 +417,7 @@ std::optional<SegmentId> IterAvgPolicy::tryMatch(const Segment& candidate,
   return std::nullopt;
 }
 
-void IterAvgPolicy::onStored(const Segment& segment, SegmentId id) {
+void IterAvgPolicy::onStored(const SegmentView& segment, SegmentId id) {
   if (acc_.size() <= id) acc_.resize(id + 1);
   Acc& a = acc_[id];
   a.sums.resize(2 * segment.events.size() + 1);

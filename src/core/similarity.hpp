@@ -58,13 +58,13 @@ class SimilarityPolicy {
   /// representative — always one of the candidate's bucket — or nullopt if
   /// the candidate must be stored as a new representative. May mutate
   /// stored segments (iter_avg).
-  virtual std::optional<SegmentId> tryMatch(const Segment& candidate,
+  virtual std::optional<SegmentId> tryMatch(const SegmentView& candidate,
                                             std::uint64_t signature,
                                             SegmentStore& store) = 0;
 
   /// Called after the reducer stored `id` for an unmatched candidate (lets
   /// policies cache derived data, e.g. feature vectors).
-  virtual void onStored(const Segment& segment, SegmentId id) {
+  virtual void onStored(const SegmentView& segment, SegmentId id) {
     (void)segment;
     (void)id;
   }
@@ -105,10 +105,10 @@ class SimilarityPolicy {
 /// at once, each with its own scratch.
 class DistancePolicy : public SimilarityPolicy {
  public:
-  std::optional<SegmentId> tryMatch(const Segment& candidate, std::uint64_t signature,
+  std::optional<SegmentId> tryMatch(const SegmentView& candidate, std::uint64_t signature,
                                     SegmentStore& store) override;
   void beginRank() override { resetDerivedState(); }
-  void onStored(const Segment& segment, SegmentId id) override;
+  void onStored(const SegmentView& segment, SegmentId id) override;
 
   /// Mutable half of tryMatch for the bucket of `signature` (a candidate's
   /// signature()): binds `store` (discarding derived state built against
@@ -126,7 +126,7 @@ class DistancePolicy : public SimilarityPolicy {
   /// with its own scratch and counters — are safe while nothing syncs.
   /// Throws std::logic_error when the policy is not bound to `store` or the
   /// bucket grew since its last sync.
-  std::optional<SegmentId> query(const Segment& candidate, std::uint64_t signature,
+  std::optional<SegmentId> query(const SegmentView& candidate, std::uint64_t signature,
                                  const SegmentStore& store, MatchCounters& counters,
                                  SegmentFeatures& scratch) const;
 
@@ -136,11 +136,11 @@ class DistancePolicy : public SimilarityPolicy {
   /// segment gives the same bits as a fresh SegmentFeatures. The
   /// element-wise methods never prepare features — their only derivable
   /// datum is the O(1) segment end, read directly by their index.
-  virtual void featuresInto(const Segment& s, SegmentFeatures& out) const;
+  virtual void featuresInto(const SegmentView& s, SegmentFeatures& out) const;
 
   /// The ≈ test between two compatible segments — the literal slow path,
   /// recomputing any derived data per pair.
-  virtual bool similar(const Segment& a, const Segment& b) const = 0;
+  virtual bool similar(const SegmentView& a, const SegmentView& b) const = 0;
 
  protected:
   /// Which index structure serves this method.
@@ -154,13 +154,13 @@ class DistancePolicy : public SimilarityPolicy {
 
   /// featuresInto a fresh SegmentFeatures, trimmed to its length: the
   /// stored side's cache entry and the slow path's per-pair features.
-  SegmentFeatures features(const Segment& s) const;
+  SegmentFeatures features(const SegmentView& s) const;
 
   /// The ≈ test with both sides' features already prepared. Must be
   /// arithmetically identical to `similar`. Defaults to ignoring the
   /// features (the element-wise methods walk the segments directly).
-  virtual bool similarPrepared(const Segment& a, const SegmentFeatures& fa,
-                               const Segment& b, const SegmentFeatures& fb) const {
+  virtual bool similarPrepared(const SegmentView& a, const SegmentFeatures& fa,
+                               const SegmentView& b, const SegmentFeatures& fb) const {
     (void)fa;
     (void)fb;
     return similar(a, b);
@@ -191,7 +191,7 @@ class DistancePolicy : public SimilarityPolicy {
   };
 
   SyncedBucket syncBucket(std::uint64_t signature, const SegmentStore& store);
-  std::optional<SegmentId> queryBucket(const Segment& candidate,
+  std::optional<SegmentId> queryBucket(const SegmentView& candidate,
                                        const SegmentStore& store,
                                        const SyncedBucket& bucket,
                                        MatchCounters& counters,
@@ -230,7 +230,7 @@ class RelDiffPolicy final : public DistancePolicy {
 
  protected:
   IndexKind indexKind() const override { return IndexKind::kEndInterval; }
-  bool similar(const Segment& a, const Segment& b) const override;
+  bool similar(const SegmentView& a, const SegmentView& b) const override;
   KeyWindow admissibleEndWindow(double candEnd) const override;
 
  private:
@@ -245,7 +245,7 @@ class AbsDiffPolicy final : public DistancePolicy {
 
  protected:
   IndexKind indexKind() const override { return IndexKind::kEndInterval; }
-  bool similar(const Segment& a, const Segment& b) const override;
+  bool similar(const SegmentView& a, const SegmentView& b) const override;
   KeyWindow admissibleEndWindow(double candEnd) const override;
 
  private:
@@ -269,13 +269,13 @@ class MinkowskiPolicy final : public DistancePolicy {
   static double distance(Order order, const std::vector<double>& a,
                          const std::vector<double>& b);
 
-  void featuresInto(const Segment& s, SegmentFeatures& out) const override;
+  void featuresInto(const SegmentView& s, SegmentFeatures& out) const override;
 
  protected:
   IndexKind indexKind() const override { return IndexKind::kMetricPivot; }
-  bool similar(const Segment& a, const Segment& b) const override;
-  bool similarPrepared(const Segment& a, const SegmentFeatures& fa,
-                       const Segment& b, const SegmentFeatures& fb) const override;
+  bool similar(const SegmentView& a, const SegmentView& b) const override;
+  bool similarPrepared(const SegmentView& a, const SegmentFeatures& fa,
+                       const SegmentView& b, const SegmentFeatures& fb) const override;
   double pairDistance(const SegmentFeatures& fa,
                       const SegmentFeatures& fb) const override;
   double indexThreshold() const override { return threshold_; }
@@ -298,13 +298,13 @@ class WaveletPolicy final : public DistancePolicy {
   std::string name() const override { return kind_ == Kind::kAverage ? "avgWave" : "haarWave"; }
 
   /// The padded, transformed coefficient vector is the features' `vec`.
-  void featuresInto(const Segment& s, SegmentFeatures& out) const override;
+  void featuresInto(const SegmentView& s, SegmentFeatures& out) const override;
 
  protected:
   IndexKind indexKind() const override { return IndexKind::kMetricPivot; }
-  bool similar(const Segment& a, const Segment& b) const override;
-  bool similarPrepared(const Segment& a, const SegmentFeatures& fa,
-                       const Segment& b, const SegmentFeatures& fb) const override;
+  bool similar(const SegmentView& a, const SegmentView& b) const override;
+  bool similarPrepared(const SegmentView& a, const SegmentFeatures& fa,
+                       const SegmentView& b, const SegmentFeatures& fb) const override;
   double pairDistance(const SegmentFeatures& fa,
                       const SegmentFeatures& fb) const override;
   double indexThreshold() const override { return threshold_; }
@@ -329,7 +329,7 @@ class IterKPolicy final : public SimilarityPolicy {
   explicit IterKPolicy(int k);
   std::string name() const override { return "iter_k"; }
   void beginRank() override;
-  std::optional<SegmentId> tryMatch(const Segment& candidate, std::uint64_t signature,
+  std::optional<SegmentId> tryMatch(const SegmentView& candidate, std::uint64_t signature,
                                     SegmentStore& store) override;
 
   int k() const { return k_; }
@@ -349,9 +349,9 @@ class IterAvgPolicy final : public SimilarityPolicy {
  public:
   std::string name() const override { return "iter_avg"; }
   void beginRank() override { acc_.clear(); }
-  std::optional<SegmentId> tryMatch(const Segment& candidate, std::uint64_t signature,
+  std::optional<SegmentId> tryMatch(const SegmentView& candidate, std::uint64_t signature,
                                     SegmentStore& store) override;
-  void onStored(const Segment& segment, SegmentId id) override;
+  void onStored(const SegmentView& segment, SegmentId id) override;
   void finishRank(SegmentStore& store) override;
 
  private:

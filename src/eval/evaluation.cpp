@@ -22,13 +22,13 @@ double approximationDistance(const SegmentedTrace& original,
   std::vector<double> diffs;
   diffs.reserve(2 * original.totalEvents());
   for (std::size_t r = 0; r < original.ranks.size(); ++r) {
-    const auto& orig = original.ranks[r].segments;
-    const auto& rec = reconstructed.ranks[r].segments;
+    const RankSegments& orig = original.ranks[r];
+    const RankSegments& rec = reconstructed.ranks[r];
     if (orig.size() != rec.size())
       throw std::invalid_argument("approximationDistance: segment count mismatch");
     for (std::size_t s = 0; s < orig.size(); ++s) {
-      const Segment& a = orig[s];
-      const Segment& b = rec[s];
+      const SegmentView a = orig[s];
+      const SegmentView b = rec[s];
       if (a.events.size() != b.events.size())
         throw std::invalid_argument("approximationDistance: event count mismatch");
       for (std::size_t e = 0; e < a.events.size(); ++e) {

@@ -2,16 +2,14 @@
 
 #include <stdexcept>
 #include <string>
-#include <utility>
 
 namespace tracered {
 
-RankSegmenter::RankSegmenter(Rank rank, const StringTable& names) : names_(&names) {
-  current_.rank = rank;
-}
+RankSegmenter::RankSegmenter(Rank rank, const StringTable& names)
+    : names_(&names), rank_(rank) {}
 
 void RankSegmenter::fail(const std::string& what) const {
-  throw std::runtime_error("segmenter: rank " + std::to_string(current_.rank) + ": " +
+  throw std::runtime_error("segmenter: rank " + std::to_string(rank_) + ": " +
                            what);
 }
 
@@ -25,14 +23,15 @@ void RankSegmenter::failOrder(const char* what, NameId name, const char* verb, T
        "us, before its " + reference + " at " + std::to_string(referenceTime) + "us");
 }
 
-inline Segment* RankSegmenter::step(const RawRecord& rec) {
+inline const SegmentHeader* RankSegmenter::step(const RawRecord& rec,
+                                                 std::vector<EventInterval>& pool) {
   switch (rec.kind) {
     case RecordKind::kSegBegin: {
       if (hasPendingEnter_) fail("segment begins inside an open event");
       if (inSegment_) failNamed("nested segment begin for context ", rec.name);
       current_.context = rec.name;
       current_.absStart = rec.time;
-      current_.events.clear();  // keeps the capacity unless the caller moved out
+      current_.offset = pool.size();
       inSegment_ = true;
       return nullptr;
     }
@@ -42,13 +41,8 @@ inline Segment* RankSegmenter::step(const RawRecord& rec) {
         failNamed("unmatched segment end for context ", rec.name);
       if (rec.time < current_.absStart)
         failOrder("segment", rec.name, "ends", rec.time, "begin", current_.absStart);
-      // Rebase events relative to the segment start (the first loop of the
-      // paper's matching algorithm).
       current_.end = rec.time - current_.absStart;
-      for (auto& e : current_.events) {
-        e.start -= current_.absStart;
-        e.end -= current_.absStart;
-      }
+      current_.count = pool.size() - current_.offset;
       inSegment_ = false;
       return &current_;
     }
@@ -66,13 +60,15 @@ inline Segment* RankSegmenter::step(const RawRecord& rec) {
         failNamed("exit without matching enter: ", rec.name);
       if (rec.time < pendingEnter_.time)
         failOrder("event", rec.name, "exits", rec.time, "enter", pendingEnter_.time);
+      // Rebased relative to the segment start as it is stored (the first
+      // loop of the paper's matching algorithm).
       EventInterval ev;
       ev.name = rec.name;
       ev.op = pendingEnter_.op;
       ev.msg = pendingEnter_.msg;
-      ev.start = pendingEnter_.time;  // absolute for now; rebased at the end
-      ev.end = rec.time;
-      current_.events.push_back(ev);
+      ev.start = pendingEnter_.time - current_.absStart;
+      ev.end = rec.time - current_.absStart;
+      pool.push_back(ev);
       hasPendingEnter_ = false;
       return nullptr;
     }
@@ -80,7 +76,10 @@ inline Segment* RankSegmenter::step(const RawRecord& rec) {
   return nullptr;
 }
 
-Segment* RankSegmenter::push(const RawRecord& rec) { return step(rec); }
+const SegmentHeader* RankSegmenter::push(const RawRecord& rec,
+                                         std::vector<EventInterval>& pool) {
+  return step(rec, pool);
+}
 
 void RankSegmenter::finish() const {
   if (hasPendingEnter_) fail("trace ends inside an open event");
@@ -90,9 +89,14 @@ void RankSegmenter::finish() const {
 RankSegments segmentRank(const RankTrace& rankTrace, const StringTable& names) {
   RankSegments out;
   out.rank = rankTrace.rank;
+  // Every event takes an enter and an exit record and every segment a begin
+  // and an end, so half the records bound both: two allocations per rank.
+  const std::size_t bound = rankTrace.records.size() / 2;
+  out.reserve(bound, bound);
   RankSegmenter segmenter(rankTrace.rank, names);
   for (const RawRecord& rec : rankTrace.records)
-    if (Segment* closed = segmenter.step(rec)) out.segments.push_back(std::move(*closed));
+    if (const SegmentHeader* closed = segmenter.step(rec, out.pool_))
+      out.headers_.push_back(*closed);
   segmenter.finish();
   return out;
 }
@@ -103,7 +107,7 @@ Trace desegmentTrace(const SegmentedTrace& segmented, const StringTable& names) 
   for (const RankSegments& rs : segmented.ranks) {
     RankTrace& rt = trace.addRank();
     rt.rank = rs.rank;
-    for (const Segment& seg : rs.segments) {
+    for (const SegmentView seg : rs) {
       RawRecord rec;
       rec.kind = RecordKind::kSegBegin;
       rec.name = seg.context;

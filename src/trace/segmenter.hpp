@@ -14,6 +14,7 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "trace/segment.hpp"
 #include "trace/trace.hpp"
@@ -33,17 +34,20 @@ class RankSegmenter {
   /// diagnostics); it must outlive the segmenter.
   RankSegmenter(Rank rank, const StringTable& names);
 
-  /// Feeds the next record. Returns the segment that `record` closed, with
-  /// its events rebased to its absStart, or nullptr if it closed none. The
-  /// segment stays valid until the next push; the caller may move from it.
-  /// When the caller does not, the next segment reuses its event buffer.
-  Segment* push(const RawRecord& record);
+  /// Feeds the next record. An event the record closes is appended to
+  /// `pool`, rebased to its segment's start. Returns the header of the
+  /// segment `record` closed, whose events are pool[offset, offset + count),
+  /// or nullptr if it closed none. Every record of one segment must be pushed
+  /// with the same pool, and the pool must not shrink while the segment is
+  /// open; between segments the caller may clear it. The header stays valid
+  /// until the next push.
+  const SegmentHeader* push(const RawRecord& record, std::vector<EventInterval>& pool);
 
   /// Checks the end of the stream: throws if an event or a segment is
   /// still open.
   void finish() const;
 
-  Rank rank() const { return current_.rank; }
+  Rank rank() const { return rank_; }
 
  private:
   friend RankSegments segmentRank(const RankTrace& rankTrace, const StringTable& names);
@@ -51,7 +55,8 @@ class RankSegmenter {
   /// push()'s body. Defined inline in the .cpp so segmentRank's loop
   /// inlines it instead of paying a call per record (a measured ~25% of
   /// segmentTrace on sweep3d).
-  inline Segment* step(const RawRecord& record);
+  inline const SegmentHeader* step(const RawRecord& record,
+                                   std::vector<EventInterval>& pool);
 
   // Diagnostics, out of line so the inlined step() stays compact:
   // "<what>'<name>'" and "<what> '<name>' <verb> at <time>us, before its
@@ -62,7 +67,8 @@ class RankSegmenter {
                               const char* reference, TimeUs referenceTime) const;
 
   const StringTable* names_;
-  Segment current_;  ///< The open segment (absolute event times) if inSegment_.
+  Rank rank_;
+  SegmentHeader current_;  ///< The open segment if inSegment_ (count set at its end).
   // The open function invocation. A value+flag pair instead of
   // std::optional: GCC 12's -O2 inliner cannot prove the optional's payload
   // is engaged at the read sites and raises a -Wmaybe-uninitialized false

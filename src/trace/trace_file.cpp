@@ -111,27 +111,27 @@ Trace TraceFileReader::readAll() {
 
 TraceFileWriter::TraceFileWriter(const std::string& path, const StringTable& names,
                                  std::size_t numRanks, TraceFileFormat format)
-    : path_(path), format_(format), numRanks_(numRanks) {
+    : format_(format), numRanks_(numRanks) {
   if (format == TraceFileFormat::kReducedBinary)
     throw std::invalid_argument(
         "trace_file: TraceFileWriter writes full traces; serialize reduced traces "
         "with serializeReducedTrace");
-  out_.open(path, std::ios::binary);
-  if (!out_) throw std::runtime_error("trace_file: cannot open for write: " + path);
+  file_.emplace(path, "trace_file");
+  std::ofstream& out = file_->stream();
   if (format == TraceFileFormat::kFullBinary) {
     ByteWriter w;
     w.u32(codec::kFullMagic);
     w.u8(codec::kVersion);
     codec::writeStringTable(w, names);
     w.uvarint(numRanks);
-    out_.write(reinterpret_cast<const char*>(w.bytes().data()),
-               static_cast<std::streamsize>(w.size()));
+    out.write(reinterpret_cast<const char*>(w.bytes().data()),
+              static_cast<std::streamsize>(w.size()));
   } else {
-    writeTextHeader(out_, names, static_cast<int>(numRanks));
+    writeTextHeader(out, names, static_cast<int>(numRanks));
   }
 }
 
-TraceFileWriter::~TraceFileWriter() = default;
+TraceFileWriter::~TraceFileWriter() = default;  // file_ removes an uncommitted temp
 
 void TraceFileWriter::writeRank(const RankTrace& rankTrace) {
   if (finished_) throw std::logic_error("trace_file: writeRank after finish");
@@ -148,14 +148,15 @@ void TraceFileWriter::writeRank(const RankTrace& rankTrace) {
                              "non-negative ids; rank " + std::to_string(rankTrace.rank) +
                              " follows rank " + std::to_string(lastRank_));
   lastRank_ = rankTrace.rank;
+  std::ofstream& out = file_->stream();
   if (format_ == TraceFileFormat::kFullBinary) {
     ByteWriter w;
     w.uvarint(static_cast<std::uint64_t>(rankTrace.rank));
     w.uvarint(rankTrace.records.size());
     TimeUs prev = 0;
     for (const RawRecord& rec : rankTrace.records) codec::writeRecord(w, rec, prev);
-    out_.write(reinterpret_cast<const char*>(w.bytes().data()),
-               static_cast<std::streamsize>(w.size()));
+    out.write(reinterpret_cast<const char*>(w.bytes().data()),
+              static_cast<std::streamsize>(w.size()));
   } else {
     // The text grammar additionally checks `rank r` against the declared
     // count, so an id beyond it (legal in TRF1) would write a file no
@@ -164,7 +165,7 @@ void TraceFileWriter::writeRank(const RankTrace& rankTrace) {
       throw std::runtime_error("trace_file: text format requires rank ids in 0.." +
                                std::to_string(numRanks_ - 1) + ", got " +
                                std::to_string(rankTrace.rank));
-    writeTextRank(out_, rankTrace);
+    writeTextRank(out, rankTrace);
   }
 }
 
@@ -174,9 +175,7 @@ void TraceFileWriter::finish() {
   if (written_ != numRanks_)
     throw std::runtime_error("trace_file: wrote " + std::to_string(written_) + " of " +
                              std::to_string(numRanks_) + " declared rank sections");
-  out_.flush();
-  if (!out_) throw std::runtime_error("trace_file: write failed: " + path_);
-  out_.close();
+  file_->commit();
 }
 
 void writeTraceFile(const std::string& path, const Trace& trace, TraceFileFormat format) {

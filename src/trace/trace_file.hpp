@@ -13,11 +13,13 @@
 #include <cstdint>
 #include <fstream>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "trace/trace.hpp"
 #include "trace/trace_decoder.hpp"
+#include "util/atomic_file.hpp"
 
 namespace tracered {
 
@@ -93,26 +95,28 @@ class TraceFileReader {
 /// writeFile(path, serializeFullTrace(trace)) of the same trace.
 class TraceFileWriter {
  public:
-  /// Opens `path` and writes the header. `names` must already contain every
-  /// name the ranks' records reference. `format` must be kFullBinary or
-  /// kText (reduced traces are written whole via serializeReducedTrace).
+  /// Opens a temp file beside `path` and writes the header. `names` must
+  /// already contain every name the ranks' records reference. `format` must
+  /// be kFullBinary or kText (reduced traces are written whole via
+  /// serializeReducedTrace).
   TraceFileWriter(const std::string& path, const StringTable& names, std::size_t numRanks,
                   TraceFileFormat format = TraceFileFormat::kFullBinary);
 
-  /// Closes the file without finish()'s completeness check (abandoned write).
+  /// Removes the temp file unless finish() succeeded: an abandoned write
+  /// leaves nothing at `path`.
   ~TraceFileWriter();
 
   /// Appends one rank section, in file order. Throws std::logic_error after
   /// numRanks sections or after finish().
   void writeRank(const RankTrace& rankTrace);
 
-  /// Flushes and closes; throws std::runtime_error if fewer than numRanks
-  /// sections were written or the stream failed.
+  /// Checks completeness, then flushes, closes and renames the temp file to
+  /// `path`. Throws std::runtime_error (leaving nothing at `path`) if fewer
+  /// than numRanks sections were written or any write failed.
   void finish();
 
  private:
-  std::string path_;
-  std::ofstream out_;
+  std::optional<util::AtomicOutputFile> file_;  ///< Engaged once the format is checked.
   TraceFileFormat format_;
   std::size_t numRanks_;
   std::size_t written_ = 0;

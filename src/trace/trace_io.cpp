@@ -5,6 +5,7 @@
 
 #include "trace/trace_codec.hpp"
 #include "trace/trace_decoder.hpp"
+#include "util/atomic_file.hpp"
 #include "util/bytebuf.hpp"
 
 namespace tracered {
@@ -159,10 +160,10 @@ std::size_t mergedTraceSize(const MergedReducedTrace& merged) {
 }
 
 void writeFile(const std::string& path, const std::vector<std::uint8_t>& bytes) {
-  std::ofstream f(path, std::ios::binary);
-  if (!f) throw std::runtime_error("trace_io: cannot open for write: " + path);
-  f.write(reinterpret_cast<const char*>(bytes.data()),
-          static_cast<std::streamsize>(bytes.size()));
+  util::AtomicOutputFile f(path, "trace_io");
+  f.stream().write(reinterpret_cast<const char*>(bytes.data()),
+                   static_cast<std::streamsize>(bytes.size()));
+  f.commit();
 }
 
 std::vector<std::uint8_t> readFile(const std::string& path) {

@@ -61,7 +61,10 @@ std::size_t fullTraceSize(const Trace& trace);
 std::size_t reducedTraceSize(const ReducedTrace& reduced);
 std::size_t mergedTraceSize(const MergedReducedTrace& merged);
 
-/// Writes `bytes` to `path` (used by examples that want real files on disk).
+/// Writes `bytes` to `path` all or nothing (util::AtomicOutputFile): a temp
+/// file beside `path` is renamed over it once every write succeeded.
+/// Throws std::runtime_error "trace_io: cannot open for write: <path>" or
+/// "trace_io: write failed: <path>", leaving no temp behind.
 void writeFile(const std::string& path, const std::vector<std::uint8_t>& bytes);
 
 /// Reads a whole file.

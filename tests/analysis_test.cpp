@@ -20,8 +20,8 @@ struct TwoRankTrace {
 };
 
 /// Rank 0 sends at t=1000 (enter), rank 1 posts its recv at t=100 and exits
-/// at t=1020: a 900 µs Late Sender wait.
-TwoRankTrace lateSenderTrace(bool sync) {
+/// at t=1020 (unless told otherwise): a 900 µs Late Sender wait.
+TwoRankTrace lateSenderTrace(bool sync, TimeUs recvStart = 100, TimeUs recvEnd = 1020) {
   TwoRankTrace t;
   t.st.ranks.resize(2);
   t.st.ranks[0].rank = 0;
@@ -33,16 +33,16 @@ TwoRankTrace lateSenderTrace(bool sync) {
   toOne.comm = 0;
   MsgInfo fromZero = toOne;
   fromZero.peer = 0;
-  t.st.ranks[0].segments.push_back(makeSegment(
+  t.st.ranks[0].push_back(makeSegment(
       t.names, "main.1", 0, 1100,
       {{"do_work", OpKind::kCompute, 0, 1000, {}},
        {sync ? "MPI_Ssend" : "MPI_Send", sync ? OpKind::kSsend : OpKind::kSend, 1000,
         1010, toOne}},
       0));
-  t.st.ranks[1].segments.push_back(makeSegment(
+  t.st.ranks[1].push_back(makeSegment(
       t.names, "main.1", 0, 1100,
       {{"do_work", OpKind::kCompute, 0, 100, {}},
-       {"MPI_Recv", OpKind::kRecv, 100, 1020, fromZero}},
+       {"MPI_Recv", OpKind::kRecv, recvStart, recvEnd, fromZero}},
       1));
   return t;
 }
@@ -70,12 +70,12 @@ TEST(Analyzer, DetectsLateReceiverForSsendOnly) {
   toOne.comm = 0;
   MsgInfo fromZero = toOne;
   fromZero.peer = 0;
-  t.st.ranks[0].segments.push_back(makeSegment(
+  t.st.ranks[0].push_back(makeSegment(
       t.names, "main.1", 0, 1100,
       {{"do_work", OpKind::kCompute, 0, 100, {}},
        {"MPI_Ssend", OpKind::kSsend, 100, 1020, toOne}},
       0));
-  t.st.ranks[1].segments.push_back(makeSegment(
+  t.st.ranks[1].push_back(makeSegment(
       t.names, "main.1", 0, 1100,
       {{"do_work", OpKind::kCompute, 0, 1000, {}},
        {"MPI_Recv", OpKind::kRecv, 1000, 1030, fromZero}},
@@ -88,10 +88,8 @@ TEST(Analyzer, DetectsLateReceiverForSsendOnly) {
 }
 
 TEST(Analyzer, LateSenderWaitClampedToRecvDuration) {
-  TwoRankTrace t = lateSenderTrace(false);
   // Shrink the receive so the raw wait (900) exceeds its duration (20).
-  t.st.ranks[1].segments[0].events[1].start = 990;
-  t.st.ranks[1].segments[0].events[1].end = 1010;
+  const TwoRankTrace t = lateSenderTrace(false, 990, 1010);
   const SeverityCube cube = analyze(t.st);
   const NameId recv = t.names.find("MPI_Recv");
   EXPECT_DOUBLE_EQ(cube.total(Metric::kLateSender, recv), 10.0);
@@ -108,7 +106,7 @@ TwoRankTrace staggeredCollective(OpKind op, const char* fn, Rank root) {
     m.comm = 0;
     m.bytes = 32;
     const TimeUs enter = 100 + 200 * r;  // rank 3 enters last at 700
-    t.st.ranks[static_cast<std::size_t>(r)].segments.push_back(makeSegment(
+    t.st.ranks[static_cast<std::size_t>(r)].push_back(makeSegment(
         t.names, "main.1", 0, 1000,
         {{"do_work", OpKind::kCompute, 0, enter, {}},
          {fn, op, enter, 750, m}},

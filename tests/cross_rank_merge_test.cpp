@@ -159,11 +159,11 @@ TEST(CrossRankMerge, ReconstructionRoundTripStaysStructurallyExact) {
   const SegmentedTrace rec = reconstructMerged(merged.merged);
   ASSERT_EQ(rec.ranks.size(), original.ranks.size());
   for (std::size_t r = 0; r < rec.ranks.size(); ++r) {
-    ASSERT_EQ(rec.ranks[r].segments.size(), original.ranks[r].segments.size());
-    for (std::size_t s = 0; s < rec.ranks[r].segments.size(); ++s) {
-      EXPECT_TRUE(rec.ranks[r].segments[s].compatible(original.ranks[r].segments[s]));
-      EXPECT_EQ(rec.ranks[r].segments[s].absStart,
-                original.ranks[r].segments[s].absStart);
+    ASSERT_EQ(rec.ranks[r].size(), original.ranks[r].size());
+    for (std::size_t s = 0; s < rec.ranks[r].size(); ++s) {
+      EXPECT_TRUE(rec.ranks[r][s].compatible(original.ranks[r][s]));
+      EXPECT_EQ(rec.ranks[r][s].absStart,
+                original.ranks[r][s].absStart);
     }
   }
 }
@@ -192,12 +192,12 @@ TEST(CrossRankMerge, MergedTraceSerializationRoundTrips) {
   const SegmentedTrace b = reconstructMerged(back);
   ASSERT_EQ(a.ranks.size(), b.ranks.size());
   for (std::size_t r = 0; r < a.ranks.size(); ++r) {
-    ASSERT_EQ(a.ranks[r].segments.size(), b.ranks[r].segments.size());
+    ASSERT_EQ(a.ranks[r].size(), b.ranks[r].size());
     EXPECT_EQ(a.ranks[r].rank, b.ranks[r].rank);
-    for (std::size_t s = 0; s < a.ranks[r].segments.size(); ++s) {
-      EXPECT_TRUE(a.ranks[r].segments[s].compatible(b.ranks[r].segments[s]));
-      EXPECT_EQ(a.ranks[r].segments[s].absStart, b.ranks[r].segments[s].absStart);
-      EXPECT_EQ(a.ranks[r].segments[s].rank, b.ranks[r].segments[s].rank);
+    for (std::size_t s = 0; s < a.ranks[r].size(); ++s) {
+      EXPECT_TRUE(a.ranks[r][s].compatible(b.ranks[r][s]));
+      EXPECT_EQ(a.ranks[r][s].absStart, b.ranks[r][s].absStart);
+      EXPECT_EQ(a.ranks[r][s].rank, b.ranks[r][s].rank);
     }
   }
 }

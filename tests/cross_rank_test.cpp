@@ -64,11 +64,11 @@ TEST(CrossRank, ReconstructionIsStructurallyExact) {
   const SegmentedTrace rec = reconstructMerged(merged);
   ASSERT_EQ(rec.ranks.size(), original.ranks.size());
   for (std::size_t r = 0; r < rec.ranks.size(); ++r) {
-    ASSERT_EQ(rec.ranks[r].segments.size(), original.ranks[r].segments.size());
-    for (std::size_t s = 0; s < rec.ranks[r].segments.size(); ++s) {
-      EXPECT_TRUE(rec.ranks[r].segments[s].compatible(original.ranks[r].segments[s]));
-      EXPECT_EQ(rec.ranks[r].segments[s].absStart,
-                original.ranks[r].segments[s].absStart);
+    ASSERT_EQ(rec.ranks[r].size(), original.ranks[r].size());
+    for (std::size_t s = 0; s < rec.ranks[r].size(); ++s) {
+      EXPECT_TRUE(rec.ranks[r][s].compatible(original.ranks[r][s]));
+      EXPECT_EQ(rec.ranks[r][s].absStart,
+                original.ranks[r][s].absStart);
     }
   }
 }
@@ -150,8 +150,8 @@ TEST(CrossRank, SparseRankIdsSurviveMergeAndReconstruction) {
   ASSERT_EQ(rec.ranks.size(), 2u);
   EXPECT_EQ(rec.ranks[0].rank, 3);
   EXPECT_EQ(rec.ranks[1].rank, 1024);
-  ASSERT_EQ(rec.ranks[1].segments.size(), 1u);
-  EXPECT_EQ(rec.ranks[1].segments[0].rank, 1024);
+  ASSERT_EQ(rec.ranks[1].size(), 1u);
+  EXPECT_EQ(rec.ranks[1][0].rank, 1024);
 }
 
 }  // namespace

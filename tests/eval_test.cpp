@@ -78,10 +78,10 @@ TEST(ApproximationDistance, ReportsKnownShift) {
   a.ranks.resize(1);
   b.ranks.resize(1);
   for (int i = 0; i < 10; ++i) {
-    a.ranks[0].segments.push_back(testing::makeSegment(
+    a.ranks[0].push_back(testing::makeSegment(
         names, "m", 1000 * i, 900, {{"f", OpKind::kCompute, 1, 800, {}}}));
     // Reconstruction shifted every internal timestamp by +50 µs.
-    b.ranks[0].segments.push_back(testing::makeSegment(
+    b.ranks[0].push_back(testing::makeSegment(
         names, "m", 1000 * i, 950, {{"f", OpKind::kCompute, 51, 850, {}}}));
   }
   EXPECT_DOUBLE_EQ(approximationDistance(a, b), 50.0);
@@ -94,10 +94,10 @@ TEST(ApproximationDistance, PercentileIgnoresRareOutliers) {
   a.ranks.resize(1);
   b.ranks.resize(1);
   for (int i = 0; i < 100; ++i) {
-    a.ranks[0].segments.push_back(testing::makeSegment(
+    a.ranks[0].push_back(testing::makeSegment(
         names, "m", 1000 * i, 900, {{"f", OpKind::kCompute, 1, 800, {}}}));
     const TimeUs err = (i == 0) ? 100000 : 1;  // one huge outlier
-    b.ranks[0].segments.push_back(testing::makeSegment(
+    b.ranks[0].push_back(testing::makeSegment(
         names, "m", 1000 * i, 900 + err, {{"f", OpKind::kCompute, 1 + err, 800 + err, {}}}));
   }
   EXPECT_LT(approximationDistance(a, b, 90.0), 10.0);

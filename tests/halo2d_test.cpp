@@ -33,7 +33,7 @@ TEST(Halo2D, SimulatesAndSegments) {
   EXPECT_EQ(trace.numRanks(), 4);
   const SegmentedTrace st = segmentTrace(trace);
   // Per rank: init + final + 12 steps + 3 residuals.
-  for (const auto& rank : st.ranks) EXPECT_EQ(rank.segments.size(), 2u + 12u + 3u);
+  for (const auto& rank : st.ranks) EXPECT_EQ(rank.size(), 2u + 12u + 3u);
 }
 
 TEST(Halo2D, InteriorVsCornerNeighbourCounts) {
@@ -44,7 +44,7 @@ TEST(Halo2D, InteriorVsCornerNeighbourCounts) {
   const SegmentedTrace st = segmentTrace(trace);
   const NameId step = trace.names().find("step");
   auto recvCount = [&](Rank r) {
-    for (const Segment& s : st.ranks[static_cast<std::size_t>(r)].segments) {
+    for (const SegmentView s : st.ranks[static_cast<std::size_t>(r)]) {
       if (s.context != step) continue;
       std::size_t recvs = 0;
       for (const auto& e : s.events)

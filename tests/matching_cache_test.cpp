@@ -59,18 +59,18 @@ class ReferencePolicy final : public SimilarityPolicy {
 
   std::string name() const override { return inner_->name(); }
   void beginRank() override { inner_->beginRank(); }
-  void onStored(const Segment& segment, SegmentId id) override {
+  void onStored(const SegmentView& segment, SegmentId id) override {
     inner_->onStored(segment, id);
   }
   void finishRank(SegmentStore& store) override { inner_->finishRank(store); }
 
-  std::optional<SegmentId> tryMatch(const Segment& candidate, std::uint64_t signature,
+  std::optional<SegmentId> tryMatch(const SegmentView& candidate, std::uint64_t signature,
                                     SegmentStore& store) override {
     const std::vector<SegmentId>& bucket = store.bucket(signature);
     if (const auto* dist = dynamic_cast<const DistancePolicy*>(inner_.get())) {
       for (SegmentId id : bucket) {
         ++counters_.comparisons;
-        const Segment& stored = store.segment(id);
+        const SegmentView stored = store.segment(id);
         if (!candidate.compatible(stored)) continue;  // signature collision guard
         if (dist->similar(candidate, stored)) return id;
       }
@@ -283,8 +283,8 @@ TEST(MatchingCache, SyncThenQueryEqualsTryMatch) {
     SegmentFeatures scratch;
     for (const Segment& s : segs) {
       const auto want = testing::tryMatch(*whole, s, a);
-      dist.sync(s.signature(), b);
-      const auto got = dist.query(s, s.signature(), b, queried, scratch);
+      dist.sync(s.view().signature(), b);
+      const auto got = dist.query(s, s.view().signature(), b, queried, scratch);
       ASSERT_EQ(got, want);
       if (!want) {
         const SegmentId ia = a.add(s);
@@ -314,7 +314,7 @@ TEST(MatchingCache, QueryFailsLoudlyWhenNotSynced) {
     for (const Segment& s : segs) store.add(s);  // behind the policy's back
     MatchCounters counters;
     SegmentFeatures scratch;
-    const std::uint64_t sig = segs[0].signature();
+    const std::uint64_t sig = segs[0].view().signature();
     const auto query = [&](const SegmentStore& st) {
       return dist.query(segs[0], sig, st, counters, scratch);
     };

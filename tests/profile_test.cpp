@@ -28,14 +28,15 @@ TEST(FunctionStats, Accumulates) {
   EXPECT_DOUBLE_EQ(st.maxUs, 30.0);
 }
 
-SegmentedTrace twoRankTrace(StringTable& names, TimeUs dur0, TimeUs dur1) {
+SegmentedTrace twoRankTrace(StringTable& names, TimeUs dur0, TimeUs dur1,
+                            int rank0Segments = 4) {
   SegmentedTrace st;
   st.ranks.resize(2);
   for (int r = 0; r < 2; ++r) {
     st.ranks[static_cast<std::size_t>(r)].rank = r;
-    for (int i = 0; i < 4; ++i) {
+    for (int i = 0; i < (r == 0 ? rank0Segments : 4); ++i) {
       const TimeUs dur = r == 0 ? dur0 : dur1;
-      st.ranks[static_cast<std::size_t>(r)].segments.push_back(makeSegment(
+      st.ranks[static_cast<std::size_t>(r)].push_back(makeSegment(
           names, "m", 1000 * i, dur + 10, {{"f", OpKind::kCompute, 5, 5 + dur, {}}}, r));
     }
   }
@@ -76,10 +77,9 @@ TEST(Profile, CompareDetectsScaledTotals) {
 
 TEST(Profile, CompareDetectsCountLoss) {
   StringTable names;
-  SegmentedTrace st = twoRankTrace(names, 100, 100);
-  const Profile a = Profile::fromTrace(st);
-  st.ranks[0].segments.pop_back();
-  const Profile b = Profile::fromTrace(st);
+  const Profile a = Profile::fromTrace(twoRankTrace(names, 100, 100));
+  // The same trace with rank 0's last segment dropped.
+  const Profile b = Profile::fromTrace(twoRankTrace(names, 100, 100, 3));
   EXPECT_FALSE(compareProfiles(a, b).countsPreserved);
 }
 

@@ -61,14 +61,14 @@ TEST_P(MethodInvariants, ReductionPreservesStructure) {
   ASSERT_EQ(res.reduced.ranks.size(), p.segmented.ranks.size());
   for (std::size_t r = 0; r < res.reduced.ranks.size(); ++r) {
     const auto& execs = res.reduced.ranks[r].execs;
-    const auto& segs = p.segmented.ranks[r].segments;
+    const RankSegments& segs = p.segmented.ranks[r];
     ASSERT_EQ(execs.size(), segs.size());
     for (std::size_t s = 0; s < segs.size(); ++s) {
       // Start times recorded exactly.
       EXPECT_EQ(execs[s].start, segs[s].absStart);
       // The representative is compatible with the original segment.
       const Segment& rep = res.reduced.ranks[r].stored.at(execs[s].id);
-      EXPECT_TRUE(rep.compatible(segs[s]));
+      EXPECT_TRUE(rep.view().compatible(segs[s]));
     }
   }
 }
@@ -85,9 +85,9 @@ TEST_P(MethodInvariants, ReconstructionIsStructurallyExact) {
   // Reconstructed segment starts are the true starts — error lives only
   // inside segments.
   for (std::size_t r = 0; r < rec.ranks.size(); ++r)
-    for (std::size_t s = 0; s < rec.ranks[r].segments.size(); ++s)
-      EXPECT_EQ(rec.ranks[r].segments[s].absStart,
-                p.segmented.ranks[r].segments[s].absStart);
+    for (std::size_t s = 0; s < rec.ranks[r].size(); ++s)
+      EXPECT_EQ(rec.ranks[r][s].absStart,
+                p.segmented.ranks[r][s].absStart);
 }
 
 TEST_P(MethodInvariants, EvaluationBoundsHold) {
@@ -127,8 +127,8 @@ TEST_P(PossibleMatches, EqualSegmentsMinusDistinctSignatures) {
   std::size_t expected = 0;
   for (const RankSegments& rs : p.segmented.ranks) {
     std::unordered_set<std::uint64_t> signatures;
-    for (const Segment& s : rs.segments) signatures.insert(s.signature());
-    expected += rs.segments.size() - signatures.size();
+    for (const SegmentView s : rs) signatures.insert(s.signature());
+    expected += rs.size() - signatures.size();
   }
   const core::ReductionConfig config = core::ReductionConfig::defaults(method);
 

@@ -1,12 +1,18 @@
 // Tests for the reduction algorithm (Sec. 3.1) and reconstruction
 // (Sec. 4.3.3): exec bookkeeping, degree-of-matching accounting, per-rank
 // independence, exactness under strict thresholds.
+#include <algorithm>
+#include <set>
+
 #include <gtest/gtest.h>
 
+#include "core/cross_rank.hpp"
 #include "core/methods.hpp"
 #include "core/reconstruct.hpp"
 #include "core/reducer.hpp"
+#include "eval/workloads.hpp"
 #include "test_helpers.hpp"
+#include "trace/segmenter.hpp"
 
 namespace tracered::core {
 namespace {
@@ -19,11 +25,11 @@ SegmentedTrace loopTrace(StringTable& names, int n, TimeUs step) {
   SegmentedTrace st;
   st.ranks.resize(1);
   st.ranks[0].rank = 0;
-  st.ranks[0].segments.push_back(
+  st.ranks[0].push_back(
       makeSegment(names, "init", 0, 30, {{"MPI_Init", OpKind::kInit, 1, 29, {}}}));
   for (int i = 0; i < n; ++i) {
     const TimeUs d = step * i;
-    st.ranks[0].segments.push_back(makeSegment(
+    st.ranks[0].push_back(makeSegment(
         names, "main.1", 100 + 1000 * i, 900 + d,
         {{"do_work", OpKind::kCompute, 1, 800 + d, {}}}));
   }
@@ -77,7 +83,7 @@ TEST(Reducer, RanksAreReducedIndependently) {
   for (int r = 0; r < 2; ++r) {
     st.ranks[static_cast<std::size_t>(r)].rank = r;
     for (int i = 0; i < 5; ++i) {
-      st.ranks[static_cast<std::size_t>(r)].segments.push_back(makeSegment(
+      st.ranks[static_cast<std::size_t>(r)].push_back(makeSegment(
           names, "main.1", 1000 * i, 900,
           {{"do_work", OpKind::kCompute, 1, 800, {}}}, r));
     }
@@ -98,13 +104,13 @@ TEST(Reconstruct, RoundTripsExactlyWhenEverySegmentIsStored) {
   const SegmentedTrace rec = reconstruct(res.reduced);
   ASSERT_EQ(rec.ranks.size(), st.ranks.size());
   for (std::size_t r = 0; r < st.ranks.size(); ++r) {
-    ASSERT_EQ(rec.ranks[r].segments.size(), st.ranks[r].segments.size());
-    for (std::size_t s = 0; s < st.ranks[r].segments.size(); ++s) {
-      const Segment& a = st.ranks[r].segments[s];
-      const Segment& b = rec.ranks[r].segments[s];
+    ASSERT_EQ(rec.ranks[r].size(), st.ranks[r].size());
+    for (std::size_t s = 0; s < st.ranks[r].size(); ++s) {
+      const SegmentView a = st.ranks[r][s];
+      const SegmentView b = rec.ranks[r][s];
       EXPECT_EQ(a.absStart, b.absStart);
       EXPECT_EQ(a.end, b.end);
-      EXPECT_EQ(a.events, b.events);
+      EXPECT_TRUE(std::ranges::equal(a.events, b.events));
     }
   }
 }
@@ -116,13 +122,13 @@ TEST(Reconstruct, ReplaysRepresentativeTimings) {
   const ReductionResult res = reduceTrace(st, names, policy);
   const SegmentedTrace rec = reconstruct(res.reduced);
   // Every loop iteration now carries the first iteration's measurements.
-  const Segment& first = rec.ranks[0].segments[1];
-  for (std::size_t s = 2; s < rec.ranks[0].segments.size(); ++s) {
-    EXPECT_EQ(rec.ranks[0].segments[s].events, first.events);
-    EXPECT_EQ(rec.ranks[0].segments[s].end, first.end);
+  const SegmentView first = rec.ranks[0][1];
+  for (std::size_t s = 2; s < rec.ranks[0].size(); ++s) {
+    EXPECT_TRUE(std::ranges::equal(rec.ranks[0][s].events, first.events));
+    EXPECT_EQ(rec.ranks[0][s].end, first.end);
   }
   // But start times are the original ones.
-  EXPECT_EQ(rec.ranks[0].segments[3].absStart, st.ranks[0].segments[3].absStart);
+  EXPECT_EQ(rec.ranks[0][3].absStart, st.ranks[0][3].absStart);
 }
 
 TEST(Reconstruct, RejectsDanglingExecIds) {
@@ -155,7 +161,8 @@ TEST(Reducer, DegreeOfMatchingWithMixedGroups) {
   auto groupB = [&](TimeUs at) {
     return makeSegment(names, "B", at, 100, {{"g", OpKind::kCompute, 1, 99, {}}});
   };
-  st.ranks[0].segments = {groupA(0), groupB(200), groupA(400), groupA(600), groupB(800)};
+  for (const Segment& s : {groupA(0), groupB(200), groupA(400), groupA(600), groupB(800)})
+    st.ranks[0].push_back(s);
   AbsDiffPolicy permissive(1e9);
   const ReductionResult res = reduceTrace(st, names, permissive);
   EXPECT_EQ(res.stats.possibleMatches, 3u);  // 5 segments - 2 groups
@@ -165,6 +172,57 @@ TEST(Reducer, DegreeOfMatchingWithMixedGroups) {
   AbsDiffPolicy strict(0);
   const ReductionResult res2 = reduceTrace(st, names, strict);
   EXPECT_EQ(res2.stats.matches, 3u);  // identical segments still match at 0
+}
+
+/// A small real workload reduced with the paper's default avgWave.
+struct ReducedWorkload {
+  Trace trace = eval::runWorkload("late_sender", {0.1, 42});
+  SegmentedTrace segmented = segmentTrace(trace);
+  ReductionResult result =
+      reduceTrace(segmented, trace.names(), ReductionConfig::defaults(Method::kAvgWave));
+};
+
+// Reconstruction stamps each representative's events into its rank's pool
+// once and points every exec's header at that range, so its memory grows
+// with representatives plus execs, not with the expanded events.
+TEST(Reconstruct, PoolHoldsEachRepresentativeOnce) {
+  const ReducedWorkload w;
+  const SegmentedTrace rec = reconstruct(w.result.reduced);
+  ASSERT_EQ(rec.ranks.size(), w.result.reduced.ranks.size());
+  std::size_t pooled = 0;
+  for (std::size_t r = 0; r < rec.ranks.size(); ++r) {
+    std::size_t stored = 0;
+    for (const Segment& s : w.result.reduced.ranks[r].stored) stored += s.events.size();
+    EXPECT_EQ(rec.ranks[r].pool().size(), stored) << "rank index " << r;
+    pooled += rec.ranks[r].pool().size();
+  }
+  EXPECT_EQ(rec.totalEvents(), w.segmented.totalEvents());
+  EXPECT_LT(pooled, rec.totalEvents());
+
+  // The merged trace's ranks pool only the shared representatives they use.
+  const MergeResult merged = mergeAcrossRanks(
+      w.result.reduced, MergeOptions{ReductionConfig::defaults(Method::kAvgWave)});
+  const SegmentedTrace mergedRec = reconstructMerged(merged.merged);
+  ASSERT_EQ(mergedRec.ranks.size(), merged.merged.execs.size());
+  for (std::size_t r = 0; r < mergedRec.ranks.size(); ++r) {
+    std::set<SegmentId> used;
+    for (const SegmentExec& e : merged.merged.execs[r]) used.insert(e.id);
+    std::size_t events = 0;
+    for (const SegmentId id : used) events += merged.merged.sharedStore[id].events.size();
+    EXPECT_EQ(mergedRec.ranks[r].pool().size(), events) << "rank index " << r;
+  }
+  EXPECT_EQ(mergedRec.totalEvents(), w.segmented.totalEvents());
+}
+
+// Rendered back to records and segmented afresh, a reconstructed trace gets
+// one pool range per segment instead of shared ones, yet compares equal:
+// equality is by value, not by pool layout.
+TEST(Reconstruct, ResegmentingTheRenderedTraceGivesTheSameSegments) {
+  const ReducedWorkload w;
+  const SegmentedTrace rec = reconstruct(w.result.reduced);
+  const SegmentedTrace again = segmentTrace(desegmentTrace(rec, w.result.reduced.names));
+  EXPECT_GT(again.ranks[0].pool().size(), rec.ranks[0].pool().size());
+  EXPECT_EQ(again, rec);
 }
 
 }  // namespace

@@ -151,7 +151,7 @@ TEST(ScenarioShapes, BurstyPhasesHasTwoDurationClusters) {
   const Trace t = runScenario("bursty_phases", tiny());
   const SegmentedTrace st = segmentTrace(t);
   std::vector<TimeUs> durations;
-  for (const Segment& s : st.ranks[0].segments)
+  for (const SegmentView s : st.ranks[0])
     if (t.names().name(s.context) == "main.1") durations.push_back(s.end);
   ASSERT_GE(durations.size(), 8u);
   std::sort(durations.begin(), durations.end());
@@ -163,7 +163,7 @@ TEST(ScenarioShapes, DriftingCostGrowsMonotonically) {
   const Trace t = runScenario("drifting_cost", tiny(), {{"drift", 0.05}});
   const SegmentedTrace st = segmentTrace(t);
   std::vector<TimeUs> durations;
-  for (const Segment& s : st.ranks[0].segments)
+  for (const SegmentView s : st.ranks[0])
     if (t.names().name(s.context) == "main.1") durations.push_back(s.end);
   ASSERT_GE(durations.size(), 4u);
   // 5% per iteration dwarfs the ~1.5% jitter: last >> first.
@@ -177,10 +177,10 @@ TEST(ScenarioShapes, SparseRanksLeavesIdleRanksIdle) {
   std::size_t idle = 0;
   for (const RankSegments& rs : st.ranks) {
     if (rs.rank % 4 == 0) {
-      EXPECT_GT(rs.segments.size(), 2u) << "active rank " << rs.rank;
+      EXPECT_GT(rs.size(), 2u) << "active rank " << rs.rank;
     } else {
       // init + final only.
-      EXPECT_EQ(rs.segments.size(), 2u) << "idle rank " << rs.rank;
+      EXPECT_EQ(rs.size(), 2u) << "idle rank " << rs.rank;
       ++idle;
     }
   }
@@ -191,7 +191,7 @@ TEST(ScenarioShapes, MultiRegionEmitsThreeSiblingContextsPerIteration) {
   const Trace t = runScenario("multi_region", tiny());
   const SegmentedTrace st = segmentTrace(t);
   std::map<std::string, std::size_t> contexts;
-  for (const Segment& s : st.ranks[0].segments) ++contexts[t.names().name(s.context)];
+  for (const SegmentView s : st.ranks[0]) ++contexts[t.names().name(s.context)];
   EXPECT_EQ(contexts.count("it.fill"), 1u);
   EXPECT_EQ(contexts.count("it.exchange"), 1u);
   EXPECT_EQ(contexts.count("it.reduce"), 1u);

@@ -1,9 +1,34 @@
 // Tests for the segmenter: marker pairing, rebase semantics (Fig. 1/2),
-// and malformed-input diagnostics.
+// malformed-input diagnostics, and the columnar RankSegments it builds.
+#include <algorithm>
+#include <atomic>
+#include <cstdlib>
+#include <memory>
+#include <new>
+#include <stdexcept>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "trace/segmenter.hpp"
 #include "trace/trace.hpp"
+
+// Every global operator new in this binary is counted, so a test can assert
+// how often a code path allocates (array new and the array deletes forward
+// to these by default). The deletes stay out of line so the optimizer never
+// pairs an inlined free() with a call to operator new.
+namespace {
+std::atomic<std::size_t> gNewCalls{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  gNewCalls.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace tracered {
 namespace {
@@ -41,7 +66,7 @@ TEST(Segmenter, SplitsIntoSegmentsAndRebases) {
   const Trace trace = figureOneTrace();
   const SegmentedTrace st = segmentTrace(trace);
   ASSERT_EQ(st.ranks.size(), 1u);
-  const auto& segs = st.ranks[0].segments;
+  const RankSegments& segs = st.ranks[0];
   ASSERT_EQ(segs.size(), 4u);
 
   EXPECT_EQ(trace.names().name(segs[0].context), "init");
@@ -50,8 +75,8 @@ TEST(Segmenter, SplitsIntoSegmentsAndRebases) {
   EXPECT_EQ(trace.names().name(segs[3].context), "final");
 
   // Rebased: both iterations look identical apart from absStart.
-  const Segment& a = segs[1];
-  const Segment& b = segs[2];
+  const SegmentView a = segs[1];
+  const SegmentView b = segs[2];
   EXPECT_EQ(a.absStart, 100);
   EXPECT_EQ(b.absStart, 200);
   ASSERT_EQ(a.events.size(), 2u);
@@ -67,7 +92,7 @@ TEST(Segmenter, SplitsIntoSegmentsAndRebases) {
 TEST(Segmenter, PreservesMessageInfo) {
   const Trace trace = figureOneTrace();
   const SegmentedTrace st = segmentTrace(trace);
-  const auto& ev = st.ranks[0].segments[1].events[1];
+  const auto& ev = st.ranks[0][1].events[1];
   EXPECT_EQ(ev.op, OpKind::kAllgather);
   EXPECT_EQ(ev.msg.bytes, 8u);
   EXPECT_EQ(ev.msg.comm, 0);
@@ -166,33 +191,49 @@ TEST(Segmenter, PushReturnsEachClosedSegmentRebased) {
   const NameId ctx = names.intern("a");
   const NameId fn = names.intern("f");
   RankSegmenter seg(4, names);
+  std::vector<EventInterval> pool;
   auto push = [&](RecordKind kind, NameId name, TimeUs time) {
     RawRecord r;
     r.kind = kind;
     r.name = name;
     r.time = time;
-    return seg.push(r);
+    return seg.push(r, pool);
   };
 
   EXPECT_EQ(push(RecordKind::kSegBegin, ctx, 100), nullptr);
   EXPECT_EQ(push(RecordKind::kEnter, fn, 110), nullptr);
   EXPECT_EQ(push(RecordKind::kExit, fn, 130), nullptr);
-  const Segment* closed = push(RecordKind::kSegEnd, ctx, 150);
+  ASSERT_EQ(pool.size(), 1u);  // appended, already rebased, at its exit
+  const SegmentHeader* closed = push(RecordKind::kSegEnd, ctx, 150);
   ASSERT_NE(closed, nullptr);
-  EXPECT_EQ(closed->rank, 4);
   EXPECT_EQ(closed->absStart, 100);
   EXPECT_EQ(closed->end, 50);
-  ASSERT_EQ(closed->events.size(), 1u);
-  EXPECT_EQ(closed->events[0].start, 10);
-  EXPECT_EQ(closed->events[0].end, 30);
+  EXPECT_EQ(closed->offset, 0u);
+  ASSERT_EQ(closed->count, 1u);
+  const SegmentView view = closed->view(seg.rank(), pool);
+  EXPECT_EQ(view.rank, 4);
+  EXPECT_EQ(view.events[0].start, 10);
+  EXPECT_EQ(view.events[0].end, 30);
   seg.finish();  // nothing open
 
-  // Not moved from: the next segment starts empty on the reused buffer.
+  // Without a clear the next segment's events follow in the same pool.
   EXPECT_EQ(push(RecordKind::kSegBegin, ctx, 200), nullptr);
+  EXPECT_EQ(push(RecordKind::kEnter, fn, 201), nullptr);
+  EXPECT_EQ(push(RecordKind::kExit, fn, 202), nullptr);
   closed = push(RecordKind::kSegEnd, ctx, 205);
   ASSERT_NE(closed, nullptr);
-  EXPECT_TRUE(closed->events.empty());
+  EXPECT_EQ(closed->offset, 1u);
+  EXPECT_EQ(closed->count, 1u);
   EXPECT_EQ(closed->end, 5);
+  EXPECT_EQ(pool[1].start, 1);
+
+  // After a clear (the streaming lane's reuse) the next one starts at 0.
+  pool.clear();
+  EXPECT_EQ(push(RecordKind::kSegBegin, ctx, 250), nullptr);
+  closed = push(RecordKind::kSegEnd, ctx, 255);
+  ASSERT_NE(closed, nullptr);
+  EXPECT_EQ(closed->offset, 0u);
+  EXPECT_EQ(closed->count, 0u);
 
   EXPECT_EQ(push(RecordKind::kSegBegin, ctx, 300), nullptr);
   try {
@@ -209,9 +250,111 @@ TEST(Segmenter, EmptySegmentsAreKept) {
   w.segBegin("empty", 5);
   w.segEnd("empty", 9);
   const SegmentedTrace st = segmentTrace(trace);
-  ASSERT_EQ(st.ranks[0].segments.size(), 1u);
-  EXPECT_EQ(st.ranks[0].segments[0].events.size(), 0u);
-  EXPECT_EQ(st.ranks[0].segments[0].end, 4);
+  ASSERT_EQ(st.ranks[0].size(), 1u);
+  EXPECT_EQ(st.ranks[0][0].events.size(), 0u);
+  EXPECT_EQ(st.ranks[0][0].end, 4);
+}
+
+/// One rank of `segments` "main.1" iterations, each two events long.
+Trace loopTrace(int segments) {
+  Trace trace(1);
+  RankTraceWriter w(trace, 0);
+  for (int i = 0; i < segments; ++i) {
+    const TimeUs base = 100 * i;
+    w.segBegin("main.1", base);
+    w.enter("do_work", OpKind::kCompute, base + 1);
+    w.exit("do_work", base + 20 + i % 7);
+    w.enter("MPI_Barrier", OpKind::kBarrier, base + 30);
+    w.exit("MPI_Barrier", base + 40);
+    w.segEnd("main.1", base + 50);
+  }
+  return trace;
+}
+
+// The rank's events land in one pool and its segments in one header array,
+// each reserved up front: segmenting allocates per rank, never per segment.
+TEST(Segmenter, AllocatesPerRankNotPerSegment) {
+  const auto allocationsFor = [](int segments) {
+    const Trace trace = loopTrace(segments);
+    const std::size_t before = gNewCalls.load();
+    const RankSegments segmented = segmentRank(trace.rank(0), trace.names());
+    const std::size_t allocations = gNewCalls.load() - before;
+    EXPECT_EQ(segmented.size(), static_cast<std::size_t>(segments));
+    EXPECT_EQ(segmented.pool().size(), 2u * static_cast<std::size_t>(segments));
+    return allocations;
+  };
+  const std::size_t few = allocationsFor(10);
+  const std::size_t many = allocationsFor(10000);
+  EXPECT_EQ(few, many);
+  EXPECT_LE(many, 2u);
+}
+
+// Views read the pool in place: segment i's events are the pool's range
+// starting where segment i-1's ended.
+TEST(Segmenter, SegmentsAreViewsIntoOneRankPool) {
+  const Trace trace = loopTrace(3);
+  const RankSegments segs = segmentRank(trace.rank(0), trace.names());
+  ASSERT_EQ(segs.size(), 3u);
+  for (std::size_t i = 0; i < segs.size(); ++i) {
+    EXPECT_EQ(segs[i].events.data(), segs.pool().data() + 2 * i);
+    EXPECT_EQ(segs[i].events.size(), 2u);
+    EXPECT_EQ(segs[i].absStart, static_cast<TimeUs>(100 * i));
+  }
+  std::size_t visited = 0;
+  for (const SegmentView seg : segs) EXPECT_EQ(seg, segs[visited++]);
+  EXPECT_EQ(visited, 3u);
+}
+
+// A copy or a move owns its pool: it still equals the original once the
+// source is gone, because equality compares the views, not addresses.
+TEST(Segmenter, CopiesAndMovesOutliveTheirSource) {
+  const Trace trace = figureOneTrace();
+  const SegmentedTrace reference = segmentTrace(trace);
+  auto source = std::make_unique<SegmentedTrace>(segmentTrace(trace));
+  const SegmentedTrace copied = *source;
+  SegmentedTrace assigned;
+  assigned = std::move(*source);
+  source.reset();
+  EXPECT_EQ(copied, reference);
+  EXPECT_EQ(assigned, reference);
+  EXPECT_NE(copied.ranks[0].pool().data(), reference.ranks[0].pool().data());
+}
+
+// Equality is by value, whatever the pool layout: the same segments built
+// one by one, or with a shared event range, compare equal; a changed
+// measurement or rank id does not.
+TEST(Segmenter, EqualityIgnoresPoolLayout) {
+  const Trace trace = figureOneTrace();
+  const RankSegments segmented = segmentRank(trace.rank(0), trace.names());
+
+  RankSegments rebuilt;
+  for (const SegmentView seg : segmented) rebuilt.push_back(seg);
+  EXPECT_EQ(rebuilt, segmented);
+
+  // The two "main.1" iterations have equal events; store them once.
+  ASSERT_TRUE(std::ranges::equal(segmented[1].events, segmented[2].events));
+  RankSegments shared;
+  shared.push_back(segmented[0]);
+  const std::size_t offset = shared.appendEvents(segmented[1].events);
+  for (std::size_t i : {1u, 2u}) {
+    const SegmentView s = segmented[i];
+    shared.addShared({s.context, s.absStart, s.end, offset, s.events.size()});
+  }
+  shared.push_back(segmented[3]);
+  EXPECT_EQ(shared, segmented);
+  EXPECT_LT(shared.pool().size(), segmented.pool().size());
+
+  RankSegments otherRank = rebuilt;
+  otherRank.rank = 7;
+  EXPECT_NE(otherRank, segmented);
+  RankSegments shifted;
+  for (const SegmentView seg : segmented) {
+    SegmentView moved = seg;
+    moved.end += 1;
+    shifted.push_back(moved);
+  }
+  EXPECT_NE(shifted, segmented);
+  EXPECT_THROW(shifted.addShared({0, 0, 0, shifted.pool().size(), 1}), std::out_of_range);
 }
 
 }  // namespace

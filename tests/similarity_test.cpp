@@ -52,24 +52,24 @@ TEST(SegmentStoreTest, AddAssignsDenseIdsAndBuckets) {
   EXPECT_EQ(store.add(a), 0u);
   EXPECT_EQ(store.add(b), 1u);
   EXPECT_EQ(store.add(other), 2u);
-  EXPECT_EQ(store.bucket(a.signature()).size(), 2u);
-  EXPECT_EQ(store.bucket(other.signature()).size(), 1u);
+  EXPECT_EQ(store.bucket(a.view().signature()).size(), 2u);
+  EXPECT_EQ(store.bucket(other.view().signature()).size(), 1u);
   EXPECT_TRUE(store.bucket(0xdeadbeef).empty());
   // Stored copies have absStart zeroed.
   EXPECT_EQ(store.segment(0).absStart, 0);
 
   // Slots are dense, in order of each signature's first add.
   EXPECT_EQ(store.bucketCount(), 2u);
-  EXPECT_EQ(store.slotOf(a.signature()), 0u);
-  EXPECT_EQ(store.slotOf(other.signature()), 1u);
+  EXPECT_EQ(store.slotOf(a.view().signature()), 0u);
+  EXPECT_EQ(store.slotOf(other.view().signature()), 1u);
   EXPECT_EQ(store.slotOf(0xdeadbeef), SegmentStore::kNoSlot);
   EXPECT_EQ(store.bucketAt(0), (std::vector<SegmentId>{0, 1}));
   EXPECT_EQ(store.bucketAt(1), (std::vector<SegmentId>{2}));
   store.clear();
   EXPECT_EQ(store.bucketCount(), 0u);
-  EXPECT_EQ(store.slotOf(a.signature()), SegmentStore::kNoSlot);
+  EXPECT_EQ(store.slotOf(a.view().signature()), SegmentStore::kNoSlot);
   EXPECT_EQ(store.add(other), 0u);
-  EXPECT_EQ(store.slotOf(other.signature()), 0u);
+  EXPECT_EQ(store.slotOf(other.view().signature()), 0u);
 }
 
 /// The metric methods: the policies that prepare features.
@@ -132,7 +132,7 @@ TEST(Policies, SteadyStateMatchAllocatesNothing) {
     ASSERT_TRUE(testing::tryMatch(*policy, jittered(names, 3), store).has_value());
 
     const Segment candidate = jittered(names, 5);
-    const std::uint64_t signature = candidate.signature();
+    const std::uint64_t signature = candidate.view().signature();
     const std::size_t before = gNewCalls.load();
     const std::optional<SegmentId> match = policy->tryMatch(candidate, signature, store);
     const std::size_t allocations = gNewCalls.load() - before;

@@ -55,7 +55,7 @@ TEST(Sweep3D, SegmentCountMatchesStructure) {
   const std::size_t perIter =
       1 + 8 * static_cast<std::size_t>(cfg.angleBlocks() * cfg.kBlocks()) + 1;
   const std::size_t expected = 2 + static_cast<std::size_t>(cfg.iterations) * perIter;
-  for (const auto& rank : st.ranks) EXPECT_EQ(rank.segments.size(), expected);
+  for (const auto& rank : st.ranks) EXPECT_EQ(rank.size(), expected);
 }
 
 TEST(Sweep3D, CornerRankHasOctantsWithoutReceives) {
@@ -67,7 +67,7 @@ TEST(Sweep3D, CornerRankHasOctantsWithoutReceives) {
   // it has two receives.
   const NameId kb = trace.names().find("it.oct.kb");
   std::set<std::size_t> recvCounts;
-  for (const Segment& s : st.ranks[0].segments) {
+  for (const SegmentView s : st.ranks[0]) {
     if (s.context != kb) continue;
     std::size_t recvs = 0;
     for (const auto& e : s.events)

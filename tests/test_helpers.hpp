@@ -79,7 +79,7 @@ inline Fig2Segments fig2() {
 /// policy.tryMatch with the candidate's own signature, as the reducer calls
 /// it for every segment it consumes.
 inline std::optional<SegmentId> tryMatch(core::SimilarityPolicy& policy,
-                                         const Segment& candidate,
+                                         const SegmentView& candidate,
                                          core::SegmentStore& store) {
   return policy.tryMatch(candidate, candidate.signature(), store);
 }
@@ -110,7 +110,7 @@ inline MergedReducedTrace mergeAcrossRanks(const ReducedTrace& reduced,
     for (SegmentId id = 0; id < rr.stored.size(); ++id) {
       ++local.inputRepresentatives;
       const Segment& rep = rr.stored[id];
-      const std::uint64_t sig = rep.signature();
+      const std::uint64_t sig = rep.view().signature();
       if (auto matched = policy.tryMatch(rep, sig, shared)) {
         remap[id] = *matched;
       } else {

@@ -2,10 +2,19 @@
 // (de)serializers, format auto-detection, and the bounded-memory guarantee.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/resource.h>
+#include <sys/stat.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <optional>
 #include <sstream>
 
@@ -438,7 +447,7 @@ TEST(TraceFile, DesegmentRoundTripsSegmentation) {
   ASSERT_EQ(again.ranks.size(), segmented.ranks.size());
   for (std::size_t r = 0; r < segmented.ranks.size(); ++r) {
     EXPECT_EQ(again.ranks[r].rank, segmented.ranks[r].rank);
-    EXPECT_EQ(again.ranks[r].segments, segmented.ranks[r].segments);
+    EXPECT_EQ(again.ranks[r], segmented.ranks[r]);
   }
 }
 
@@ -464,6 +473,186 @@ TEST(TraceFile, StatsFromReducedMatchesReductionStats) {
   rr.execs.resize(1);
   malformed.ranks.push_back(std::move(rr));
   EXPECT_THROW(core::statsFromReduced(malformed), std::runtime_error);
+}
+
+// --- all-or-nothing output files ---------------------------------------
+
+/// A fresh empty directory under the test temp dir, removed afterwards.
+struct ScratchDir {
+  explicit ScratchDir(const std::string& name)
+      : path(std::filesystem::path(::testing::TempDir()) /
+             ("tracered_" + name + "_" + std::to_string(::getpid()))) {
+    std::filesystem::remove_all(path);
+    std::filesystem::create_directories(path);
+  }
+  ~ScratchDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path, ec);
+  }
+  bool empty() const { return std::filesystem::is_empty(path); }
+  std::string file(const std::string& name) const { return (path / name).string(); }
+
+  std::filesystem::path path;
+};
+
+/// Runs `body` in a forked child limited to 4 KiB per file, with SIGXFSZ
+/// ignored so an oversized write fails (EFBIG) instead of killing the
+/// child. Returns the child's exit code: `body`'s result, or 99 if it threw.
+int exitCodeUnderFileSizeLimit(const std::function<int()>& body) {
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    std::signal(SIGXFSZ, SIG_IGN);
+    const rlimit limit{4096, 4096};
+    int code = ::setrlimit(RLIMIT_FSIZE, &limit) == 0 ? 98 : 97;
+    if (code == 98) {
+      try {
+        code = body();
+      } catch (...) {
+        code = 99;
+      }
+    }
+    std::_Exit(code);
+  }
+  int status = 0;
+  if (pid < 0 || ::waitpid(pid, &status, 0) != pid || !WIFEXITED(status)) return -1;
+  return WEXITSTATUS(status);
+}
+
+/// 0 if `fn()` throws std::runtime_error with exactly `message`, else 1.
+int throwsExactly(const std::function<void()>& fn, const std::string& message) {
+  try {
+    fn();
+  } catch (const std::runtime_error& e) {
+    return e.what() == message ? 0 : 1;
+  }
+  return 1;
+}
+
+/// One rank of 2000 iterations: far more than 4 KiB once encoded.
+Trace largeTrace() {
+  Trace trace(1);
+  RankTraceWriter w(trace, 0);
+  for (int i = 0; i < 2000; ++i) {
+    w.segBegin("main.1", 100 * i);
+    w.enter("do_work", OpKind::kCompute, 100 * i + 1);
+    w.exit("do_work", 100 * i + 50 + i % 13);
+    w.segEnd("main.1", 100 * i + 90);
+  }
+  return trace;
+}
+
+TEST(AtomicOutput, WriteFileReplacesTheTargetWhole) {
+  const ScratchDir dir("replace");
+  const std::string target = dir.file("out.trr");
+  writeFile(target, std::vector<std::uint8_t>(10000, 0x11));
+  writeFile(target, {1, 2, 3});
+  EXPECT_EQ(readFile(target), (std::vector<std::uint8_t>{1, 2, 3}));
+  EXPECT_EQ(std::distance(std::filesystem::directory_iterator(dir.path),
+                          std::filesystem::directory_iterator()),
+            1);  // no temp left beside it
+}
+
+// What a rename would replace rather than write through is written in
+// place: a symlink keeps its link, a pipe receives the bytes.
+TEST(AtomicOutput, KeepsSymlinksAndWritesIntoPipes) {
+  const ScratchDir dir("special");
+  const std::string file = dir.file("real.trr");
+  const std::string link = dir.file("link.trr");
+  writeFile(file, {1});
+  std::filesystem::create_symlink(file, link);
+  writeFile(link, {2, 3});
+  EXPECT_TRUE(std::filesystem::is_symlink(link));
+  EXPECT_EQ(readFile(file), (std::vector<std::uint8_t>{2, 3}));
+
+  const std::string fifo = dir.file("pipe");
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  // A non-blocking reader first, so the writer's open does not wait.
+  const int reader = ::open(fifo.c_str(), O_RDONLY | O_NONBLOCK);
+  ASSERT_GE(reader, 0);
+  writeFile(fifo, {4, 5, 6});
+  std::uint8_t received[8] = {};
+  EXPECT_EQ(::read(reader, received, sizeof received), 3);
+  ::close(reader);
+  EXPECT_EQ(received[2], 6);
+  EXPECT_TRUE(std::filesystem::is_fifo(fifo));
+  EXPECT_EQ(std::distance(std::filesystem::directory_iterator(dir.path),
+                          std::filesystem::directory_iterator()),
+            3);  // no temp left beside them
+}
+
+TEST(AtomicOutput, UnwritableDirectoryNamesThePathAndLeavesNothing) {
+  const ScratchDir dir("unwritable");
+  const std::string target = dir.file("missing/out.trr");
+  EXPECT_EQ(thrownMessage([&] { writeFile(target, {1, 2, 3}); }),
+            "trace_io: cannot open for write: " + target);
+  const Trace trace = largeTrace();
+  EXPECT_EQ(thrownMessage([&] { TraceFileWriter w(target, trace.names(), 1); }),
+            "trace_file: cannot open for write: " + target);
+  EXPECT_TRUE(dir.empty());
+
+  // A directory without write permission (root writes regardless).
+  if (::geteuid() != 0) {
+    std::filesystem::permissions(dir.path, std::filesystem::perms::owner_read |
+                                               std::filesystem::perms::owner_exec);
+    const std::string denied = dir.file("out.trr");
+    EXPECT_EQ(thrownMessage([&] { writeFile(denied, {1, 2, 3}); }),
+              "trace_io: cannot open for write: " + denied);
+    std::filesystem::permissions(dir.path, std::filesystem::perms::owner_all);
+    EXPECT_TRUE(dir.empty());
+  }
+}
+
+TEST(AtomicOutput, WriteFileFailingMidWriteLeavesNeitherTargetNorTemp) {
+  const ScratchDir dir("midwrite");
+  const std::string target = dir.file("out.trr");
+  EXPECT_EQ(exitCodeUnderFileSizeLimit([&] {
+              return throwsExactly(
+                  [&] { writeFile(target, std::vector<std::uint8_t>(1 << 20, 0xab)); },
+                  "trace_io: write failed: " + target);
+            }),
+            0);
+  EXPECT_TRUE(dir.empty());
+}
+
+TEST(AtomicOutput, TraceFileWriterFailingMidWriteLeavesNeitherTargetNorTemp) {
+  const ScratchDir dir("writer_midwrite");
+  const std::string target = dir.file("out.trf");
+  const Trace trace = largeTrace();
+  EXPECT_EQ(exitCodeUnderFileSizeLimit([&] {
+              return throwsExactly(
+                  [&] {
+                    TraceFileWriter w(target, trace.names(), 1);
+                    w.writeRank(trace.rank(0));
+                    w.finish();
+                  },
+                  "trace_file: write failed: " + target);
+            }),
+            0);
+  EXPECT_TRUE(dir.empty());
+}
+
+TEST(AtomicOutput, TraceFileWriterPublishesOnlyOnFinish) {
+  const ScratchDir dir("writer_finish");
+  const std::string target = dir.file("out.trf");
+  const Trace trace = largeTrace();
+  {
+    TraceFileWriter abandoned(target, trace.names(), 1);
+    abandoned.writeRank(trace.rank(0));
+    EXPECT_FALSE(std::filesystem::exists(target));
+  }
+  EXPECT_TRUE(dir.empty());
+  {
+    TraceFileWriter incomplete(target, trace.names(), 2);
+    incomplete.writeRank(trace.rank(0));
+    EXPECT_THROW(incomplete.finish(), std::runtime_error);
+  }
+  EXPECT_TRUE(dir.empty());
+
+  TraceFileWriter w(target, trace.names(), 1);
+  w.writeRank(trace.rank(0));
+  EXPECT_FALSE(std::filesystem::exists(target));
+  w.finish();
+  EXPECT_EQ(readFile(target), serializeFullTrace(trace));
 }
 
 }  // namespace

@@ -82,15 +82,15 @@ TEST(Segment, CompatibleRequiresContextCountAndIdentity) {
   const Segment a = testing::makeSegment(names, "main.1", 0, 50,
                                          {{"do_work", OpKind::kCompute, 1, 20, {}}});
   Segment b = a;
-  EXPECT_TRUE(a.compatible(b));
+  EXPECT_TRUE(a.view().compatible(b));
   b.events[0].end = 45;  // timing irrelevant
-  EXPECT_TRUE(a.compatible(b));
+  EXPECT_TRUE(a.view().compatible(b));
   Segment other = testing::makeSegment(names, "main.2", 0, 50,
                                        {{"do_work", OpKind::kCompute, 1, 20, {}}});
-  EXPECT_FALSE(a.compatible(other));
+  EXPECT_FALSE(a.view().compatible(other));
   Segment more = a;
   more.events.push_back(more.events[0]);
-  EXPECT_FALSE(a.compatible(more));
+  EXPECT_FALSE(a.view().compatible(more));
 }
 
 TEST(Segment, SignatureAgreesWithCompatibility) {
@@ -100,10 +100,10 @@ TEST(Segment, SignatureAgreesWithCompatibility) {
   Segment b = a;
   b.end = 77;
   b.events[0].start = 5;
-  EXPECT_EQ(a.signature(), b.signature());
+  EXPECT_EQ(a.view().signature(), b.view().signature());
   Segment c = a;
   c.events[0].msg.tag = 9;
-  EXPECT_NE(a.signature(), c.signature());
+  EXPECT_NE(a.view().signature(), c.view().signature());
 }
 
 TEST(Segment, ForEachMeasurementPairVisitsAllAndShortCircuits) {
@@ -133,9 +133,9 @@ TEST(SegmentedTrace, Totals) {
   StringTable names;
   SegmentedTrace st;
   st.ranks.resize(2);
-  st.ranks[0].segments.push_back(testing::makeSegment(
+  st.ranks[0].push_back(testing::makeSegment(
       names, "m", 0, 10, {{"f", OpKind::kCompute, 1, 9, {}}}));
-  st.ranks[1].segments.push_back(testing::makeSegment(
+  st.ranks[1].push_back(testing::makeSegment(
       names, "m", 0, 10,
       {{"f", OpKind::kCompute, 1, 4, {}}, {"g", OpKind::kCompute, 5, 9, {}}}));
   EXPECT_EQ(st.totalSegments(), 2u);
