@@ -49,7 +49,7 @@ struct BenchOptions {
       opts.workload.scale = args.getDouble("scale", 1.0);
       opts.workload.seed = static_cast<std::uint64_t>(args.getInt("seed", 42));
       opts.csv = args.getBool("csv", false);
-      opts.threads = static_cast<int>(args.getInt("threads", 0));
+      opts.threads = threadsFlag(args, 0);
       // A zero/negative/NaN scale must be an exit-2 usage error here, not an
       // uncaught invalid_argument from runWorkload deep inside the harness.
       eval::validateWorkloadOptions(opts.workload);

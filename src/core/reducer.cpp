@@ -97,11 +97,10 @@ ReductionResult reduceTrace(const SegmentedTrace& segmented, const StringTable& 
   //
   // Determinism constraint: this depends on beginRank() FULLY resetting the
   // policy — a policy whose behavior depends on how many ranks it has seen
-  // (e.g. sampling.hpp's RandomSamplingPolicy, which seeds its RNG from a
-  // per-policy rank counter) would vary with scheduling. Every method
-  // reachable through makePolicy satisfies the constraint; keep it that way
-  // (or switch such a policy to keying off SegmentView::rank) before adding one
-  // to the Method enum.
+  // (say, one that seeds an RNG from a per-policy rank counter) would vary
+  // with scheduling. Every method reachable through makePolicy satisfies the
+  // constraint; keep it that way (or switch such a policy to keying off
+  // SegmentView::rank) before adding one to the Method enum.
   std::vector<std::unique_ptr<SimilarityPolicy>> policies;
   policies.reserve(workers);
   for (std::size_t w = 0; w < workers; ++w)

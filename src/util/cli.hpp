@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -77,6 +78,18 @@ class CliArgs {
 struct UsageError : std::invalid_argument {
   using std::invalid_argument::invalid_argument;
 };
+
+/// The --threads flag's value (`fallback` when absent; 0 = hardware
+/// concurrency), or UsageError when it is negative or does not fit an int.
+/// The one --threads parser of the tool and the bench harnesses.
+inline int threadsFlag(const CliArgs& args, int fallback) {
+  const std::int64_t threads = args.getInt("threads", fallback);
+  if (threads < 0 || threads > std::numeric_limits<int>::max())
+    throw UsageError("--threads must be between 0 (hardware concurrency) and " +
+                     std::to_string(std::numeric_limits<int>::max()) + ", got " +
+                     std::to_string(threads));
+  return static_cast<int>(threads);
+}
 
 /// Prints "prog: message" to stderr and exits 2 — the usage-failure path
 /// for binaries without CliApp's dispatch (benches, examples).

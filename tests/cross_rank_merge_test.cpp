@@ -270,11 +270,10 @@ TEST(CrossRankMerge, IncrementalFeedMatchesWholeTrace) {
 }
 
 /// `ranks` relabeled copies of `base`'s ranks, cycling through `variants`
-/// time dilations (x1.0, x1.5, x2.0, ...) of every stored segment — the
-/// population bench_merge feeds. Variant v only matches variant v, so each
-/// shared bucket holds one entry per distinct variant: enough to pass
-/// MetricBucketIndex::kPivotActivation, while the store stays O(variants ×
-/// base) however many ranks arrive.
+/// time dilations (x1.0, x1.5, x2.0, ...) of every stored segment. Variant v
+/// only matches variant v, so each shared bucket holds one entry per distinct
+/// variant: enough to pass MetricBucketIndex::kPivotActivation, while the
+/// store stays O(variants × base) however many ranks arrive.
 ReducedTrace dilatedCopies(const ReducedTrace& base, std::size_t ranks,
                            std::size_t variants) {
   ReducedTrace out;

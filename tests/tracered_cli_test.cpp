@@ -244,6 +244,15 @@ TEST(TraceredCli, ExitCodesDistinguishUsageFromRuntimeErrors) {
     EXPECT_NE(r.output.find("--threads must be between 0"), std::string::npos)
         << cmd << "\n" << r.output;
   }
+  // So is --connect-timeout-ms outside [0, INT_MAX], checked before any
+  // connect: 4294967296 used to wrap to 0 ms and fail the connect (exit 1).
+  for (const char* ms : {"4294967296", "2147483648", "-1"}) {
+    const CliResult r = runCli("reduce foo.trf --remote unix:" +
+                               tmpPath("cli_absent.sock") + " --connect-timeout-ms " + ms);
+    EXPECT_EQ(r.exitCode, 2) << ms << "\n" << r.output;
+    EXPECT_NE(r.output.find("--connect-timeout-ms must be between 0"), std::string::npos)
+        << ms << "\n" << r.output;
+  }
 
   // A value-taking flag with no value — trailing or followed by another
   // flag — must be rejected rather than silently treated as the boolean

@@ -251,6 +251,21 @@ TEST(Cli, MalformedNumericValuesAreUsageErrors) {
   EXPECT_THROW(hugeArgs.getDouble("scale", 1.0), UsageError);
 }
 
+TEST(Cli, ThreadsFlagRejectsValuesOutsideZeroToIntMax) {
+  // 4294967297 narrows to 1 and -1 would read as "hardware concurrency";
+  // both must be usage errors instead.
+  for (const char* bad : {"4294967297", "-1"}) {
+    const char* argv[] = {"prog", "--threads", bad};
+    EXPECT_THROW(threadsFlag(CliArgs(3, argv), 1), UsageError) << bad;
+  }
+  for (const char* good : {"0", "4"}) {
+    const char* argv[] = {"prog", "--threads", good};
+    EXPECT_EQ(threadsFlag(CliArgs(3, argv), 1), std::stoi(good)) << good;
+  }
+  const char* absent[] = {"prog"};
+  EXPECT_EQ(threadsFlag(CliArgs(1, absent), 7), 7);
+}
+
 TEST(Cli, DeclaredBooleanFlagsConsumeExplicitBoolWords) {
   // `--csv false` must mean false, while `--streaming app.trf` keeps the
   // file positional.

@@ -47,10 +47,6 @@ std::string requirePositional(const CliArgs& args, std::size_t index, const char
 /// The --out flag's value, or UsageError.
 std::string requireOut(const CliArgs& args);
 
-/// The --threads flag's value (`fallback` when absent; 0 = hardware
-/// concurrency), or UsageError when it is negative or does not fit an int.
-int threadsFlag(const CliArgs& args, int fallback);
-
 /// Parses a --format value: "binary" -> kFullBinary, "text" -> kText;
 /// UsageError otherwise.
 TraceFileFormat parseFormatFlag(const std::string& value);

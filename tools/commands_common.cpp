@@ -1,7 +1,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
-#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -24,15 +23,6 @@ std::string requireOut(const CliArgs& args) {
   const std::string out = args.get("out");
   if (out.empty()) throw UsageError("missing required flag --out <file>");
   return out;
-}
-
-int threadsFlag(const CliArgs& args, int fallback) {
-  const std::int64_t threads = args.getInt("threads", fallback);
-  if (threads < 0 || threads > std::numeric_limits<int>::max())
-    throw UsageError("--threads must be between 0 (hardware concurrency) and " +
-                     std::to_string(std::numeric_limits<int>::max()) + ", got " +
-                     std::to_string(threads));
-  return static_cast<int>(threads);
 }
 
 TraceFileFormat parseFormatFlag(const std::string& value) {

@@ -5,7 +5,9 @@
 // daemon and receive the reduced trace back). All modes produce
 // byte-identical output files (tested).
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <optional>
 
 #include "commands.hpp"
@@ -56,11 +58,16 @@ int runRemoteReduce(const CliArgs& args, const std::string& input,
                        "only where the per-rank reduction lives. Reduce with --merge "
                        "locally instead.");
   const std::string addr = args.get("remote");
-  const int retryMs = static_cast<int>(args.getInt("connect-timeout-ms", 5000));
+  const std::int64_t retryMs = args.getInt("connect-timeout-ms", 5000);
+  if (retryMs < 0 || retryMs > std::numeric_limits<int>::max())
+    throw UsageError("--connect-timeout-ms must be between 0 and " +
+                     std::to_string(std::numeric_limits<int>::max()) + ", got " +
+                     std::to_string(retryMs));
   const std::vector<std::uint8_t> bytes = readFile(input);
 
   const serve::RemoteReduceResult rr =
-      serve::reduceRemote(addr, config.toString(), bytes.data(), bytes.size(), retryMs);
+      serve::reduceRemote(addr, config.toString(), bytes.data(), bytes.size(),
+                          static_cast<int>(retryMs));
 
   const bool stats = args.getBool("stats");
   TextTable t;
