@@ -6,10 +6,6 @@
 
 namespace tracered::core {
 
-bool provablyExceeds(double value, double bound, double scale) {
-  return value > bound + 1e-9 * (scale + std::fabs(bound) + 1.0);
-}
-
 namespace {
 
 /// Widening applied to window edges so rounding in the edge computation can
@@ -55,9 +51,17 @@ KeyWindow admissibleEndWindowRel(double end, double threshold) {
   return {end * (1.0 - threshold) - margin, end / (1.0 - threshold) + margin};
 }
 
-bool pivotBoundRejects(double candToPivot, double storedToPivot, double bound) {
-  return provablyExceeds(std::fabs(candToPivot - storedToPivot), bound,
-                         candToPivot + storedToPivot);
+void MetricBucketIndex::insertBlockNorm(double norm) {
+  // Slide the block's larger norms up one place (ties keep store order);
+  // each slid mask gains the new entry's bit.
+  const std::size_t pos = blockSorted_.size();
+  const std::size_t base = pos - pos % kBlock;
+  const std::uint64_t bit = std::uint64_t{1} << (pos - base);
+  blockSorted_.emplace_back();
+  std::size_t k = pos;
+  for (; k > base && blockSorted_[k - 1].norm > norm; --k)
+    blockSorted_[k] = {blockSorted_[k - 1].norm, blockSorted_[k - 1].atOrBelow | bit};
+  blockSorted_[k] = {norm, (k > base ? blockSorted_[k - 1].atOrBelow : 0) | bit};
 }
 
 bool EndIntervalIndex::anyInWindow(const KeyWindow& window) const {

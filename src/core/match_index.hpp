@@ -10,14 +10,17 @@
 //     dist(a, b) <= threshold * max(maxAbs_a, maxAbs_b) (Eq. 1). A candidate
 //     first computes its *norm window* (reverse triangle inequality: any
 //     accepted pair has |‖a‖ - ‖b‖| <= dist <= bound, so out-of-window
-//     entries are provably dissimilar); a side array of sorted norms decides
-//     in O(log n) whether the window is empty (the common case for a
-//     representative-dense bucket) before anything is walked. Survivors are
-//     visited in store order — preserving the Sec. 3.1 loop's first-match
-//     short-circuit exactly — with the per-entry norm bound and
+//     entries are provably dissimilar). Each 64-entry store-order block
+//     keeps its norms sorted beside prefix bit masks, so two searches per
+//     block give its in-window entries as one mask, and a window that misses
+//     a block's norm range skips the block outright. Only in-window entries
+//     are visited, in store order — preserving the Sec. 3.1 loop's
+//     first-match short-circuit exactly — with the per-entry norm bound and
 //     triangle-inequality pivot bounds (|d(c,p) - d(r,p)| <= d(c,r) for
 //     pivots p chosen among the representatives) pruning entries before any
-//     exact distance.
+//     exact distance. Entries are filed into compatibility classes as they
+//     are synced, so a query decides compatibility once, against one
+//     exemplar per class.
 //   * EndIntervalIndex — for the element-wise methods (relDiff, absDiff),
 //     whose full test includes the segment-end pair as one conjunct. The
 //     admissible end window (exact threshold algebra per method, widened by
@@ -43,6 +46,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -108,8 +112,10 @@ struct MatchCounters {
 /// relative) sits orders of magnitude above the worst accumulation error of
 /// any realistic vector length, so a bound can never reject a pair the full
 /// test would accept — it only passes borderline pairs through to the exact
-/// comparison.
-bool provablyExceeds(double value, double bound, double scale);
+/// comparison. Inline: the index walk calls it per visited entry and pivot.
+inline bool provablyExceeds(double value, double bound, double scale) {
+  return value > bound + 1e-9 * (scale + std::fabs(bound) + 1.0);
+}
 
 /// Closed admissible interval for a scalar sort key (pruning norm or end
 /// measurement). Conservative: a key outside [lo, hi] provably cannot
@@ -140,14 +146,19 @@ KeyWindow admissibleEndWindowRel(double end, double threshold);
 /// Triangle-inequality pivot bound: d(c, r) >= |d(c, p) - d(r, p)|, so the
 /// pair provably fails Eq. 1 when that gap exceeds the acceptance bound
 /// (with the floating-point margin of provablyExceeds).
-bool pivotBoundRejects(double candToPivot, double storedToPivot, double bound);
+inline bool pivotBoundRejects(double candToPivot, double storedToPivot, double bound) {
+  return provablyExceeds(std::fabs(candToPivot - storedToPivot), bound,
+                         candToPivot + storedToPivot);
+}
 
 /// Per-bucket index for the metric methods: store-order entries carrying
-/// (norm, maxAbs, pivot distances), plus a sorted norm array for the
-/// empty-window early exit. Pivots activate once a bucket holds
-/// kPivotActivation entries (below that, the norm window plus the per-entry
-/// norm bound already reduce the scan to almost nothing and pivot distances
-/// would cost more than they save).
+/// (norm, maxAbs, compatibility class, pivot distances), plus the norms of
+/// every 64-entry store-order block sorted with prefix masks, so a norm
+/// window's in-window entries come out as one bit mask per block. Pivots
+/// activate once a bucket holds kPivotActivation entries; below that, the
+/// norm window plus the per-entry norm bound already reduce the scan to
+/// almost nothing, and a plain walk costs less than pivot distances or
+/// per-block searches would.
 ///
 /// The hot methods are templates over their callables (rather than taking
 /// std::function) so the per-candidate sync/query pair costs no type-erasure
@@ -156,15 +167,20 @@ class MetricBucketIndex {
  public:
   static constexpr std::size_t kNumPivots = 2;
   static constexpr std::size_t kPivotActivation = 8;
+  /// Store-order entries per window block: one bit each in a 64-bit mask.
+  static constexpr std::size_t kBlock = 64;
 
   /// Folds bucket entries appended since the last sync into the index.
   /// `features(id)` returns the features of a stored representative (backed
   /// by the policy's FeatureCache); `distance` is the exact pairwise
-  /// distance on prepared features. Pivot-distance maintenance counts into
-  /// `counters.pivotDistEvals`.
-  template <typename FeaturesFn, typename DistanceFn>
+  /// distance on prepared features; `sameClass(a, b)` is the compatibility
+  /// test between two stored ids (an equivalence), which files each entry
+  /// under one class exemplar. Pivot-distance maintenance counts into
+  /// `counters.pivotDistEvals`; class filing counts nothing.
+  template <typename FeaturesFn, typename DistanceFn, typename SameClassFn>
   void sync(const std::vector<SegmentId>& bucket, const FeaturesFn& features,
-            const DistanceFn& distance, MatchCounters& counters) {
+            const DistanceFn& distance, const SameClassFn& sameClass,
+            MatchCounters& counters) {
     for (std::size_t i = synced_; i < bucket.size(); ++i) {
       const SegmentId id = bucket[i];
       const SegmentFeatures& f = features(id);
@@ -172,17 +188,13 @@ class MetricBucketIndex {
       e.norm = f.norm;
       e.maxAbs = f.maxAbs;
       e.id = id;
-      if (!pivotIds_.empty()) {
-        e.pivotDist.reserve(pivotIds_.size());
-        for (SegmentId p : pivotIds_) {
-          e.pivotDist.push_back(distance(f, features(p)));
-          ++counters.pivotDistEvals;
-        }
+      e.compatClass = classOf(id, sameClass);
+      for (std::size_t j = 0; j < pivotIds_.size(); ++j) {
+        e.pivotDist[j] = distance(f, features(pivotIds_[j]));
+        ++counters.pivotDistEvals;
       }
-      sortedNorms_.insert(
-          std::upper_bound(sortedNorms_.begin(), sortedNorms_.end(), e.norm),
-          e.norm);
-      entries_.push_back(std::move(e));
+      insertBlockNorm(e.norm);
+      entries_.push_back(e);
     }
     synced_ = bucket.size();
     if (pivotIds_.empty() && entries_.size() >= kPivotActivation)
@@ -190,15 +202,22 @@ class MetricBucketIndex {
   }
 
   /// Queries for the first (in store order) representative accepted by
-  /// `exactAccept`. An empty norm window returns immediately (O(log n));
-  /// otherwise entries are walked in store order — the Sec. 3.1 loop's scan
-  /// order, so the first-match short-circuit is preserved exactly — with
-  /// out-of-window entries skipped and survivors pruned by the per-entry
-  /// norm bound and the pivot bounds before any exact distance.
-  /// `compatible` is the signature-collision guard; `exactAccept` must be
-  /// the policy's exact acceptance test. Candidate-to-pivot distances are
-  /// computed lazily (only when some entry survives the norm bound) and
-  /// count into pivotDistEvals.
+  /// `exactAccept`, visiting only the entries inside the candidate's norm
+  /// window, in store order — the Sec. 3.1 loop's scan order, so the
+  /// first-match short-circuit is preserved exactly. A window that misses
+  /// every block's norm range returns without touching an entry. Visited
+  /// entries are pruned by the per-entry norm bound and the pivot bounds
+  /// before any exact distance.
+  ///
+  /// `compatible(id)` is the signature-collision guard; it is called only
+  /// on class exemplars, once per class at most, the first time an entry is
+  /// visited. `exactAccept` must be the policy's exact acceptance test.
+  /// Candidate-to-pivot distances are computed lazily (only when some entry
+  /// survives the norm bound) and count into pivotDistEvals.
+  ///
+  /// The counters equal the per-entry walk's: each visited entry counts one
+  /// comparison, and each out-of-window entry before the match (every one,
+  /// without a match) counts one indexPruned.
   template <typename FeaturesFn, typename DistanceFn, typename CompatibleFn,
             typename ExactFn>
   std::optional<SegmentId> query(const SegmentFeatures& candidate,
@@ -209,65 +228,150 @@ class MetricBucketIndex {
                                  MatchCounters& counters) const {
     const KeyWindow window =
         admissibleNormWindow(candidate.norm, candidate.maxAbs, threshold);
-    // Empty window — no stored norm can belong to an accepted pair — decided
-    // in O(log n) without touching any entry.
-    const auto lo =
-        std::lower_bound(sortedNorms_.begin(), sortedNorms_.end(), window.lo);
-    if (lo == sortedNorms_.end() || *lo > window.hi) {
-      counters.indexPruned += entries_.size();
-      return std::nullopt;
-    }
 
+    // The candidate's compatibility class, resolved on the first visited
+    // entry (kNoClass: compatible with no entry of the bucket).
+    std::size_t candClass = kUnresolved;
     // Candidate-to-pivot distances, computed only once some entry survives
     // the per-entry norm bound (a query whose entries the norm bounds empty
     // never pays for them).
     std::array<double, kNumPivots> candToPivot{};
     std::size_t pivotsReady = 0;
 
-    for (const Entry& e : entries_) {
-      if (!window.contains(e.norm)) {
-        ++counters.indexPruned;
-        continue;
-      }
+    // One in-window entry: true when it is the match. Every prune it
+    // decides counts here; the window's own prunes count in the walks.
+    const auto visit = [&](const Entry& e) {
       ++counters.comparisons;
-      if (!compatible(e.id)) continue;
+      if (candClass == kUnresolved) candClass = classOfCandidate(compatible);
+      if (e.compatClass != candClass) return false;
       const double bound = threshold * std::max(candidate.maxAbs, e.maxAbs);
       if (provablyExceeds(std::fabs(candidate.norm - e.norm), bound,
                           candidate.norm + e.norm)) {
         ++counters.indexPruned;
-        continue;
+        return false;
       }
-      bool rejected = false;
-      for (std::size_t j = 0; j < e.pivotDist.size(); ++j) {
-        while (pivotsReady <= j) {
-          candToPivot[pivotsReady] =
-              distance(candidate, features(pivotIds_[pivotsReady]));
+      for (std::size_t j = 0; j < pivotIds_.size(); ++j) {
+        if (pivotsReady <= j) {
+          candToPivot[j] = distance(candidate, features(pivotIds_[j]));
           ++counters.pivotDistEvals;
-          ++pivotsReady;
+          pivotsReady = j + 1;
         }
         if (pivotBoundRejects(candToPivot[j], e.pivotDist[j], bound)) {
           ++counters.indexPruned;
-          rejected = true;
-          break;
+          return false;
         }
       }
-      if (rejected) continue;
       ++counters.indexVisited;
-      if (exactAccept(e.id)) return e.id;
+      return exactAccept(e.id);
+    };
+
+    const std::size_t n = entries_.size();
+    if (pivotIds_.empty()) {
+      // Below pivot activation the bucket is one short block: a walk that
+      // tests each norm costs less than the block's two searches.
+      static_assert(kPivotActivation <= kBlock);
+      if (n == 0 || !overlaps(0, n, window)) {
+        counters.indexPruned += n;
+        return std::nullopt;
+      }
+      for (const Entry& e : entries_) {
+        if (!window.contains(e.norm)) {
+          ++counters.indexPruned;
+          continue;
+        }
+        if (visit(e)) return e.id;
+      }
+      return std::nullopt;
+    }
+
+    for (std::size_t base = 0; base < n; base += kBlock) {
+      const std::size_t count = std::min(kBlock, n - base);
+      std::uint64_t mask = inWindowMask(base, count, window);
+      std::size_t visited = 0;  // in-window entries of this block so far
+      while (mask != 0) {
+        const auto offset = static_cast<std::size_t>(std::countr_zero(mask));
+        mask &= mask - 1;
+        const Entry& e = entries_[base + offset];
+        if (visit(e)) {
+          counters.indexPruned += offset - visited;
+          return e.id;
+        }
+        ++visited;
+      }
+      counters.indexPruned += count - visited;
     }
     return std::nullopt;
   }
 
   std::size_t entries() const { return entries_.size(); }
   std::size_t pivots() const { return pivotIds_.size(); }
+  const std::vector<SegmentId>& pivotIds() const { return pivotIds_; }
+  std::size_t classes() const {
+    std::size_t n = 0;
+    for (std::size_t i = 0; i < entries_.size(); ++i) n += entries_[i].compatClass == i ? 1 : 0;
+    return n;
+  }
 
  private:
+  static constexpr std::size_t kUnresolved = ~std::size_t{0};
+  static constexpr std::size_t kNoClass = kUnresolved - 1;
+
   struct Entry {
     double norm = 0.0;
     double maxAbs = 0.0;
+    std::array<double, kNumPivots> pivotDist{};  ///< First pivots() valid.
     SegmentId id = 0;
-    std::vector<double> pivotDist;  ///< Distance to each active pivot.
+    /// Store position of the class's exemplar, its first entry; an
+    /// exemplar's is its own position.
+    std::uint32_t compatClass = 0;
   };
+
+  /// The class of the entry about to be appended: the first exemplar
+  /// `sameClass` accepts, else a new class with this entry as exemplar.
+  /// Every entry after the first normally stops at entry 0.
+  template <typename SameClassFn>
+  std::uint32_t classOf(SegmentId id, const SameClassFn& sameClass) const {
+    for (std::size_t i = 0; i < entries_.size(); ++i)
+      if (entries_[i].compatClass == i && sameClass(entries_[i].id, id))
+        return static_cast<std::uint32_t>(i);
+    return static_cast<std::uint32_t>(entries_.size());
+  }
+
+  template <typename CompatibleFn>
+  std::size_t classOfCandidate(const CompatibleFn& compatible) const {
+    for (std::size_t i = 0; i < entries_.size(); ++i)
+      if (entries_[i].compatClass == i && compatible(entries_[i].id)) return i;
+    return kNoClass;
+  }
+
+  /// Files the norm of the entry about to be appended into its block's
+  /// sorted norms and prefix masks.
+  void insertBlockNorm(double norm);
+
+  /// Whether the block at `base` (`count` entries) holds any norm that
+  /// `window` could contain: its sorted range meets the window.
+  bool overlaps(std::size_t base, std::size_t count, const KeyWindow& window) const {
+    return blockSorted_[base].norm <= window.hi &&
+           blockSorted_[base + count - 1].norm >= window.lo;
+  }
+
+  /// Bit i set iff entry base + i's norm lies inside `window`: the block's
+  /// sorted norms inside it run from the first >= lo to the last <= hi, and
+  /// the prefix masks name their store offsets.
+  std::uint64_t inWindowMask(std::size_t base, std::size_t count,
+                             const KeyWindow& window) const {
+    if (!overlaps(base, count, window)) return 0;
+    const auto first = blockSorted_.begin() + static_cast<std::ptrdiff_t>(base);
+    const auto last = first + static_cast<std::ptrdiff_t>(count);
+    const auto below = [&](auto it) {  // store offsets of the sorted norms before `it`
+      return it == first ? std::uint64_t{0} : std::prev(it)->atOrBelow;
+    };
+    const auto above = std::upper_bound(
+        first, last, window.hi, [](double v, const SortedNorm& s) { return v < s.norm; });
+    const auto from = std::lower_bound(
+        first, last, window.lo, [](const SortedNorm& s, double v) { return s.norm < v; });
+    return below(above) & ~below(from);
+  }
 
   template <typename FeaturesFn, typename DistanceFn>
   void activatePivots(const FeaturesFn& features, const DistanceFn& distance,
@@ -286,7 +390,7 @@ class MetricBucketIndex {
     for (Entry& e : entries_) {
       const double d = distance(features(e.id), f0);
       ++counters.pivotDistEvals;
-      e.pivotDist.assign(1, d);
+      e.pivotDist[0] = d;
       if (d > farthest || (d == farthest && e.id < second)) {
         farthest = d;
         second = e.id;
@@ -296,13 +400,22 @@ class MetricBucketIndex {
     pivotIds_.push_back(second);
     const SegmentFeatures& f1 = features(second);
     for (Entry& e : entries_) {
-      e.pivotDist.push_back(distance(features(e.id), f1));
+      e.pivotDist[1] = distance(features(e.id), f1);
       ++counters.pivotDistEvals;
     }
   }
 
-  std::vector<Entry> entries_;       ///< Store order (the bucket's order).
-  std::vector<double> sortedNorms_;  ///< Ascending, for the window early exit.
+  /// One norm of a block, in the block's ascending norm order.
+  struct SortedNorm {
+    double norm = 0.0;
+    /// Store offsets (within the block) of this norm and every norm sorted
+    /// before it, as a bit mask.
+    std::uint64_t atOrBelow = 0;
+  };
+
+  std::vector<Entry> entries_;  ///< Store order (the bucket's order).
+  /// Each block of kBlock store-order entries' norms, ascending.
+  std::vector<SortedNorm> blockSorted_;
   std::vector<SegmentId> pivotIds_;  ///< Empty until activation.
   std::size_t synced_ = 0;           ///< Bucket entries folded so far.
 };

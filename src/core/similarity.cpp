@@ -94,6 +94,9 @@ DistancePolicy::SyncedBucket DistancePolicy::syncBucket(std::uint64_t signature,
                [this](const SegmentFeatures& fa, const SegmentFeatures& fb) {
                  return indexDistance(fa, fb);
                },
+               [&](SegmentId a, SegmentId b) {
+                 return store.segment(a).view().compatible(store.segment(b));
+               },
                counters_);
     bucket.metric = &index;
   }

@@ -182,6 +182,8 @@ struct RankSegments {
 
  private:
   friend RankSegments segmentRank(const RankTrace& rankTrace, const StringTable& names);
+  friend RankSegments segmentRank(const RankTrace& rankTrace, const StringTable& names,
+                                  std::size_t expectedSegments);
 
   std::vector<EventInterval> pool_;
   std::vector<SegmentHeader> headers_;

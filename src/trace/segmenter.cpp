@@ -86,6 +86,14 @@ void RankSegmenter::finish() const {
   if (inSegment_) fail("trace ends inside an open segment");
 }
 
+void RankSegmenter::pushAll(std::span<const RawRecord> records,
+                            std::vector<EventInterval>& pool,
+                            std::vector<SegmentHeader>& headers) {
+  for (const RawRecord& rec : records)
+    if (const SegmentHeader* closed = step(rec, pool)) headers.push_back(*closed);
+  finish();
+}
+
 RankSegments segmentRank(const RankTrace& rankTrace, const StringTable& names) {
   RankSegments out;
   out.rank = rankTrace.rank;
@@ -93,11 +101,21 @@ RankSegments segmentRank(const RankTrace& rankTrace, const StringTable& names) {
   // and an end, so half the records bound both: two allocations per rank.
   const std::size_t bound = rankTrace.records.size() / 2;
   out.reserve(bound, bound);
-  RankSegmenter segmenter(rankTrace.rank, names);
-  for (const RawRecord& rec : rankTrace.records)
-    if (const SegmentHeader* closed = segmenter.step(rec, out.pool_))
-      out.headers_.push_back(*closed);
-  segmenter.finish();
+  RankSegmenter(rankTrace.rank, names).pushAll(rankTrace.records, out.pool_, out.headers_);
+  return out;
+}
+
+RankSegments segmentRank(const RankTrace& rankTrace, const StringTable& names,
+                         std::size_t expectedSegments) {
+  RankSegments out;
+  out.rank = rankTrace.rank;
+  // Half the records bound the pool, as above. The same bound on the
+  // headers would leave most of their capacity untouched for the result's
+  // lifetime (segments are few beside events), and per-op heap growth that
+  // glibc trims and faults back in on the next op.
+  out.reserve(expectedSegments, rankTrace.records.size() / 2);
+  RankSegmenter(rankTrace.rank, names).pushAll(rankTrace.records, out.pool_, out.headers_);
+  out.headers_.shrink_to_fit();  // no copy when the guess was exact
   return out;
 }
 
@@ -138,8 +156,11 @@ Trace desegmentTrace(const SegmentedTrace& segmented, const StringTable& names) 
 SegmentedTrace segmentTrace(const Trace& trace) {
   SegmentedTrace out;
   out.ranks.reserve(static_cast<std::size_t>(trace.numRanks()));
-  for (Rank r = 0; r < trace.numRanks(); ++r)
-    out.ranks.push_back(segmentRank(trace.rank(r), trace.names()));
+  std::size_t expected = 0;  // each rank's guess is the previous rank's count
+  for (Rank r = 0; r < trace.numRanks(); ++r) {
+    out.ranks.push_back(segmentRank(trace.rank(r), trace.names(), expected));
+    expected = out.ranks.back().size();
+  }
   return out;
 }
 

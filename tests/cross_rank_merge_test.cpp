@@ -6,6 +6,8 @@
 // first-match-winner ordering invariants.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -348,6 +350,41 @@ TEST(CrossRankMerge, ConcurrentReadOnlyProbeMatchesSerial) {
               serializeMergedTrace(serialReference(input, m)));
     EXPECT_EQ(pooled.stats.counters, inlineRun.stats.counters);
   }
+}
+
+// The same concurrent read path on wide buckets. Euclidean@0.001 keeps all
+// 200 dilations of one rank distinct, so each signature's shared bucket grows
+// to several 64-entry window blocks with pivots active; the later ranks
+// repeat earlier dilations, so four workers probe those wide buckets and
+// find their matches deep inside them.
+TEST(CrossRankMerge, ConcurrentProbeOnWideBucketsMatchesSerial) {
+  eval::WorkloadOptions opts;
+  opts.scale = 0.05;
+  ReducedTrace one = reduceWith(eval::runWorkload("scenario:sparse_ranks", opts),
+                                Method::kEuclidean);
+  one.ranks.resize(1);
+  const ReducedTrace input = dilatedCopies(one, 320, 200);
+  const ReductionConfig config{Method::kEuclidean, 0.001};
+  util::PooledExecutor pool(4);
+  MergeOptions mo;
+  mo.config = config;
+  mo.shardRanks = 16;
+  const MergeResult inlineRun = mergeAcrossRanks(input, mo);
+  mo.config.executor = &pool;
+  const MergeResult pooled = mergeAcrossRanks(input, mo);
+
+  std::map<std::uint64_t, std::size_t> bucketSizes;
+  std::size_t widest = 0;
+  for (const Segment& rep : pooled.merged.sharedStore)
+    widest = std::max(widest, ++bucketSizes[rep.view().signature()]);
+  ASSERT_GT(widest, 2 * MetricBucketIndex::kBlock)
+      << "the shared buckets must span several window blocks for this test to bite";
+  EXPECT_GT(pooled.stats.counters.pivotDistEvals, 0u);
+
+  auto policy = makePolicy(config.method, config.threshold);
+  EXPECT_EQ(serializeMergedTrace(pooled.merged),
+            serializeMergedTrace(mergeAcrossRanks(input, *policy)));
+  EXPECT_EQ(pooled.stats.counters, inlineRun.stats.counters);
 }
 
 // Ranks fed from DIFFERENT string tables (independent per-rank reductions,

@@ -153,12 +153,29 @@ TEST(MatchIndex, ProvablyExceedsKeepsAMarginAboveTheBound) {
 }
 
 // --------------------------------------------------------------------------
-// MetricBucketIndex, driven with synthetic 1-element feature vectors under
-// the L1 metric (distance == |a - b|), differentially against the linear
-// first-match scan.
+// MetricBucketIndex, driven with synthetic feature vectors under the L1
+// metric (1-element vectors: distance == |a - b|), differentially against
+// the linear first-match scan and against the per-entry store-order walk the
+// index replaced. Each id carries a compatibility class label, so one
+// bucket can hold several classes, as a signature collision would.
+
+double l1Distance(const SegmentFeatures& a, const SegmentFeatures& b) {
+  double acc = 0.0;
+  for (std::size_t i = 0; i < a.vec.size(); ++i) acc += std::fabs(a.vec[i] - b.vec[i]);
+  return acc;
+}
+
+SegmentFeatures l1Features(std::vector<double> vec) {
+  SegmentFeatures f;
+  f.vec = std::move(vec);
+  f.norm = l1Norm(f.vec);
+  f.maxAbs = maxAbsOf(f.vec);
+  return f;
+}
 
 struct MetricHarness {
   std::vector<SegmentFeatures> feats;  // by id
+  std::vector<int> label;              // compatibility class, by id
   std::vector<SegmentId> bucket;
   MetricBucketIndex index;
   MatchCounters counters;
@@ -168,33 +185,36 @@ struct MetricHarness {
   }
   static auto distanceFn() {
     return [](const SegmentFeatures& a, const SegmentFeatures& b) {
-      return std::fabs(a.vec[0] - b.vec[0]);
+      return l1Distance(a, b);
     };
   }
 
-  void add(double value) {
-    SegmentFeatures f;
-    f.vec = {value};
-    f.norm = std::fabs(value);
-    f.maxAbs = std::fabs(value);
+  void add(double value, int cls = 0) { add(std::vector<double>{value}, cls); }
+  void add(std::vector<double> vec, int cls) {
     bucket.push_back(static_cast<SegmentId>(feats.size()));
-    feats.push_back(std::move(f));
+    feats.push_back(l1Features(std::move(vec)));
+    label.push_back(cls);
   }
 
-  void sync() { index.sync(bucket, featuresFn(), distanceFn(), counters); }
+  void sync() {
+    index.sync(bucket, featuresFn(), distanceFn(),
+               [this](SegmentId a, SegmentId b) { return label[a] == label[b]; },
+               counters);
+  }
+
+  static bool accepts(const SegmentFeatures& c, const SegmentFeatures& f, double thr) {
+    return l1Distance(c, f) <= thr * std::max(c.maxAbs, f.maxAbs);
+  }
 
   std::optional<SegmentId> query(double value, double thr) {
-    SegmentFeatures cand;
-    cand.vec = {value};
-    cand.norm = std::fabs(value);
-    cand.maxAbs = std::fabs(value);
-    const auto accept = [&](const SegmentFeatures& f) {
-      return std::fabs(value - f.vec[0]) <=
-             thr * std::max(cand.maxAbs, f.maxAbs);
-    };
+    return query(l1Features({value}), 0, thr, counters);
+  }
+  std::optional<SegmentId> query(const SegmentFeatures& cand, int cls, double thr,
+                                 MatchCounters& out) {
     return index.query(
-        cand, thr, featuresFn(), distanceFn(), [](SegmentId) { return true; },
-        [&](SegmentId id) { return accept(feats[id]); }, counters);
+        cand, thr, featuresFn(), distanceFn(),
+        [&](SegmentId id) { return label[id] == cls; },
+        [&](SegmentId id) { return accepts(cand, feats[id], thr); }, out);
   }
 
   std::optional<SegmentId> linearScan(double value, double thr) const {
@@ -202,6 +222,46 @@ struct MetricHarness {
       const SegmentFeatures& f = feats[id];
       if (std::fabs(value - f.vec[0]) <= thr * std::max(std::fabs(value), f.maxAbs))
         return id;
+    }
+    return std::nullopt;
+  }
+
+  // The per-entry walk the index replaced: every entry in store order, the
+  // window tested per entry, compatibility tested per in-window entry, then
+  // the norm and pivot bounds with lazily computed candidate-to-pivot
+  // distances. Its counters are the ones the index must reproduce.
+  std::optional<SegmentId> referenceWalk(const SegmentFeatures& cand, int cls, double thr,
+                                         MatchCounters& out) const {
+    const KeyWindow window = admissibleNormWindow(cand.norm, cand.maxAbs, thr);
+    const std::vector<SegmentId>& pivots = index.pivotIds();
+    std::vector<double> candToPivot;
+    for (SegmentId id : bucket) {
+      const SegmentFeatures& f = feats[id];
+      if (!window.contains(f.norm)) {
+        ++out.indexPruned;
+        continue;
+      }
+      ++out.comparisons;
+      if (label[id] != cls) continue;
+      const double bound = thr * std::max(cand.maxAbs, f.maxAbs);
+      if (provablyExceeds(std::fabs(cand.norm - f.norm), bound, cand.norm + f.norm)) {
+        ++out.indexPruned;
+        continue;
+      }
+      bool rejected = false;
+      for (std::size_t j = 0; j < pivots.size() && !rejected; ++j) {
+        if (candToPivot.size() <= j) {
+          candToPivot.push_back(l1Distance(cand, feats[pivots[j]]));
+          ++out.pivotDistEvals;
+        }
+        rejected = pivotBoundRejects(candToPivot[j], l1Distance(f, feats[pivots[j]]), bound);
+      }
+      if (rejected) {
+        ++out.indexPruned;
+        continue;
+      }
+      ++out.indexVisited;
+      if (accepts(cand, f, thr)) return id;
     }
     return std::nullopt;
   }
@@ -222,6 +282,96 @@ TEST(MetricBucketIndex, MatchesLinearScanOnRandomBuckets) {
       }
     }
   }
+}
+
+// The window walk against the per-entry walk it replaced: same first match
+// and the same four counter deltas on every query. Buckets grow in steps
+// (each step synced, then queried) from 1 to 300 entries, so they cross
+// pivot activation and the 64-entry block boundary; values are quantized
+// half the time, so norms repeat; every third bucket mixes two
+// compatibility classes; candidates of a third class match nothing.
+TEST(MetricBucketIndex, WindowWalkMatchesThePerEntryWalkExactly) {
+  SplitMix64 rng(0x5eed0004);
+  std::size_t matched = 0;
+  std::size_t wideQueries = 0;  // buckets with pivots and > 64 entries
+  for (int round = 0; round < 60; ++round) {
+    MetricHarness h;
+    const bool mixed = round % 3 == 0;
+    const bool quantized = round % 2 == 0;
+    const auto draw = [&] {
+      return quantized ? std::round(rng.nextDouble() * 20.0) * 50.0
+                       : rng.nextDouble() * 1000.0;
+    };
+    const auto target = static_cast<std::size_t>(rng.nextInt(1, 300));
+    while (h.bucket.size() < target) {
+      const auto step = static_cast<std::size_t>(rng.nextInt(1, 80));
+      for (std::size_t i = 0; i < step && h.bucket.size() < target; ++i)
+        h.add({draw(), draw()}, mixed ? static_cast<int>(rng.nextInt(0, 1)) : 0);
+      h.sync();
+      std::vector<int> labels = h.label;
+      std::sort(labels.begin(), labels.end());
+      ASSERT_EQ(h.index.classes(),
+                static_cast<std::size_t>(std::unique(labels.begin(), labels.end()) - labels.begin()));
+      for (double thr : {0.0, 0.05, 0.3, 1.0}) {
+        for (int q = 0; q < 10; ++q) {
+          std::vector<double> vec = {draw(), draw()};
+          if (q % 2 == 0) {  // near a stored entry: likely a match
+            vec = h.feats[static_cast<std::size_t>(
+                               rng.nextInt(0, static_cast<std::int64_t>(h.bucket.size()) - 1))]
+                      .vec;
+            for (double& x : vec) x += (rng.nextDouble() - 0.5) * 40.0 * thr;
+          }
+          const SegmentFeatures cand = l1Features(vec);
+          const int cls = static_cast<int>(rng.nextInt(0, mixed ? 2 : 0));
+          MatchCounters got, want;
+          const auto id = h.query(cand, cls, thr, got);
+          EXPECT_EQ(id, h.referenceWalk(cand, cls, thr, want))
+              << "round " << round << " entries " << h.bucket.size() << " thr " << thr;
+          EXPECT_EQ(got, want)
+              << "round " << round << " entries " << h.bucket.size() << " thr " << thr
+              << ": comparisons " << got.comparisons << "/" << want.comparisons
+              << " visited " << got.indexVisited << "/" << want.indexVisited
+              << " pruned " << got.indexPruned << "/" << want.indexPruned
+              << " pivot evals " << got.pivotDistEvals << "/" << want.pivotDistEvals;
+          matched += id.has_value() ? 1 : 0;
+          wideQueries += h.index.pivots() > 0 && h.bucket.size() > 64 ? 1 : 0;
+        }
+      }
+    }
+  }
+  // Not vacuous: matches are found, and wide buckets with pivots are queried.
+  EXPECT_GT(matched, 500u);
+  EXPECT_GT(wideQueries, 1000u);
+}
+
+// The window is closed: stored norms exactly on its edges are visited, the
+// next doubles outside it are not. Entries sit in two window blocks, with
+// pivots active.
+TEST(MetricBucketIndex, WindowEdgesAreInclusiveInEveryBlock) {
+  const double thr = 0.1;
+  const SegmentFeatures cand = l1Features({1000.0});
+  const KeyWindow w = admissibleNormWindow(cand.norm, cand.maxAbs, thr);
+  MetricHarness h;
+  for (int i = 0; i < 80; ++i) h.add(5000.0 + i);  // far outside the window
+  for (std::size_t block : {std::size_t{0}, std::size_t{1}}) {
+    const std::size_t at = block * MetricBucketIndex::kBlock + 10;
+    h.feats[at] = l1Features({w.lo});
+    h.feats[at + 1] = l1Features({w.hi});
+    h.feats[at + 2] = l1Features({std::nextafter(w.lo, 0.0)});
+    h.feats[at + 3] = l1Features({std::nextafter(w.hi, 1e300)});
+  }
+  h.sync();
+  ASSERT_GT(h.index.pivots(), 0u);
+  MatchCounters got, want;
+  // Nothing accepts at threshold 0.1 except possibly the edges; run with an
+  // exact test that rejects everything, so every in-window entry is reached.
+  const auto id = h.index.query(
+      cand, thr, h.featuresFn(), MetricHarness::distanceFn(),
+      [](SegmentId) { return true; }, [](SegmentId) { return false; }, got);
+  EXPECT_EQ(id, std::nullopt);
+  EXPECT_EQ(h.referenceWalk(cand, 0, thr, want), std::nullopt);
+  EXPECT_EQ(got.comparisons, 4u);  // the two edges of both blocks
+  EXPECT_EQ(got, want);
 }
 
 TEST(MetricBucketIndex, PivotsActivateAtThresholdAndLazySyncFoldsAppends) {

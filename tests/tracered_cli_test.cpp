@@ -254,6 +254,15 @@ TEST(TraceredCli, ExitCodesDistinguishUsageFromRuntimeErrors) {
         << ms << "\n" << r.output;
   }
 
+  // A remote-only flag without --remote is a usage error, not ignored: a
+  // misplaced remote invocation must not silently reduce in-process.
+  // Checked before the input is opened, so foo.trf need not exist.
+  const CliResult localTimeout = runCli("reduce foo.trf --connect-timeout-ms 5");
+  EXPECT_EQ(localTimeout.exitCode, 2) << localTimeout.output;
+  EXPECT_NE(localTimeout.output.find("--connect-timeout-ms requires --remote"),
+            std::string::npos)
+      << localTimeout.output;
+
   // A value-taking flag with no value — trailing or followed by another
   // flag — must be rejected rather than silently treated as the boolean
   // "true" (which would write a file named true).

@@ -101,6 +101,8 @@ int runReduce(const CliArgs& args) {
     throw UsageError(e.what());
   }
   if (args.has("remote")) return runRemoteReduce(args, input, config);
+  for (const char* flag : {"connect-timeout-ms"})
+    if (args.has(flag)) throw UsageError("--" + std::string(flag) + " requires --remote");
 
   // One pool for both stages; it starts lazily, so --threads 1 never spawns.
   util::PooledExecutor pool(threadsFlag(args, 1));
