@@ -306,11 +306,7 @@ class MetricBucketIndex {
   std::size_t entries() const { return entries_.size(); }
   std::size_t pivots() const { return pivotIds_.size(); }
   const std::vector<SegmentId>& pivotIds() const { return pivotIds_; }
-  std::size_t classes() const {
-    std::size_t n = 0;
-    for (std::size_t i = 0; i < entries_.size(); ++i) n += entries_[i].compatClass == i ? 1 : 0;
-    return n;
-  }
+  std::size_t classes() const { return exemplars_.size(); }
 
  private:
   static constexpr std::size_t kUnresolved = ~std::size_t{0};
@@ -321,26 +317,26 @@ class MetricBucketIndex {
     double maxAbs = 0.0;
     std::array<double, kNumPivots> pivotDist{};  ///< First pivots() valid.
     SegmentId id = 0;
-    /// Store position of the class's exemplar, its first entry; an
-    /// exemplar's is its own position.
-    std::uint32_t compatClass = 0;
+    std::uint32_t compatClass = 0;  ///< Index into exemplars_.
   };
 
-  /// The class of the entry about to be appended: the first exemplar
-  /// `sameClass` accepts, else a new class with this entry as exemplar.
-  /// Every entry after the first normally stops at entry 0.
+  /// The class of the entry about to be appended: the first class whose
+  /// exemplar `sameClass` accepts, else a new class with this entry as its
+  /// exemplar. Normally the first exemplar accepts.
   template <typename SameClassFn>
-  std::uint32_t classOf(SegmentId id, const SameClassFn& sameClass) const {
-    for (std::size_t i = 0; i < entries_.size(); ++i)
-      if (entries_[i].compatClass == i && sameClass(entries_[i].id, id))
-        return static_cast<std::uint32_t>(i);
-    return static_cast<std::uint32_t>(entries_.size());
+  std::uint32_t classOf(SegmentId id, const SameClassFn& sameClass) {
+    for (std::size_t c = 0; c < exemplars_.size(); ++c)
+      if (sameClass(exemplars_[c], id)) return static_cast<std::uint32_t>(c);
+    exemplars_.push_back(id);
+    return static_cast<std::uint32_t>(exemplars_.size() - 1);
   }
 
+  /// The candidate's class: one `compatible` call per class at most,
+  /// kNoClass when it belongs to none.
   template <typename CompatibleFn>
   std::size_t classOfCandidate(const CompatibleFn& compatible) const {
-    for (std::size_t i = 0; i < entries_.size(); ++i)
-      if (entries_[i].compatClass == i && compatible(entries_[i].id)) return i;
+    for (std::size_t c = 0; c < exemplars_.size(); ++c)
+      if (compatible(exemplars_[c])) return c;
     return kNoClass;
   }
 
@@ -416,6 +412,8 @@ class MetricBucketIndex {
   std::vector<Entry> entries_;  ///< Store order (the bucket's order).
   /// Each block of kBlock store-order entries' norms, ascending.
   std::vector<SortedNorm> blockSorted_;
+  /// Each compatibility class's exemplar: its first entry's id.
+  std::vector<SegmentId> exemplars_;
   std::vector<SegmentId> pivotIds_;  ///< Empty until activation.
   std::size_t synced_ = 0;           ///< Bucket entries folded so far.
 };

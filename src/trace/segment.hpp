@@ -181,7 +181,6 @@ struct RankSegments {
   friend bool operator==(const RankSegments& a, const RankSegments& b);
 
  private:
-  friend RankSegments segmentRank(const RankTrace& rankTrace, const StringTable& names);
   friend RankSegments segmentRank(const RankTrace& rankTrace, const StringTable& names,
                                   std::size_t expectedSegments);
 

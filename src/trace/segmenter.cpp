@@ -86,35 +86,21 @@ void RankSegmenter::finish() const {
   if (inSegment_) fail("trace ends inside an open segment");
 }
 
-void RankSegmenter::pushAll(std::span<const RawRecord> records,
-                            std::vector<EventInterval>& pool,
-                            std::vector<SegmentHeader>& headers) {
-  for (const RawRecord& rec : records)
-    if (const SegmentHeader* closed = step(rec, pool)) headers.push_back(*closed);
-  finish();
-}
-
-RankSegments segmentRank(const RankTrace& rankTrace, const StringTable& names) {
-  RankSegments out;
-  out.rank = rankTrace.rank;
-  // Every event takes an enter and an exit record and every segment a begin
-  // and an end, so half the records bound both: two allocations per rank.
-  const std::size_t bound = rankTrace.records.size() / 2;
-  out.reserve(bound, bound);
-  RankSegmenter(rankTrace.rank, names).pushAll(rankTrace.records, out.pool_, out.headers_);
-  return out;
-}
-
 RankSegments segmentRank(const RankTrace& rankTrace, const StringTable& names,
                          std::size_t expectedSegments) {
   RankSegments out;
   out.rank = rankTrace.rank;
-  // Half the records bound the pool, as above. The same bound on the
-  // headers would leave most of their capacity untouched for the result's
-  // lifetime (segments are few beside events), and per-op heap growth that
-  // glibc trims and faults back in on the next op.
+  // Every event takes an enter and an exit record, so half the records bound
+  // the pool. Segments are few beside events: the same bound on the headers
+  // would leave most of their capacity untouched for the result's lifetime,
+  // and per-op heap growth that glibc trims and faults back in on the next
+  // op. They are reserved at the caller's guess and trimmed instead.
   out.reserve(expectedSegments, rankTrace.records.size() / 2);
-  RankSegmenter(rankTrace.rank, names).pushAll(rankTrace.records, out.pool_, out.headers_);
+  RankSegmenter segmenter(rankTrace.rank, names);
+  for (const RawRecord& rec : rankTrace.records)
+    if (const SegmentHeader* closed = segmenter.step(rec, out.pool_))
+      out.headers_.push_back(*closed);
+  segmenter.finish();
   out.headers_.shrink_to_fit();  // no copy when the guess was exact
   return out;
 }

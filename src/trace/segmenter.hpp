@@ -13,7 +13,7 @@
 // reject the rest with the same diagnostic.
 #pragma once
 
-#include <span>
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -48,16 +48,14 @@ class RankSegmenter {
   /// still open.
   void finish() const;
 
-  /// Pushes every record of a whole stream, appending each closed segment's
-  /// header to `headers`, then finish()es.
-  void pushAll(std::span<const RawRecord> records, std::vector<EventInterval>& pool,
-               std::vector<SegmentHeader>& headers);
-
   Rank rank() const { return rank_; }
 
  private:
-  /// push()'s body. Defined inline in the .cpp so pushAll's loop inlines
-  /// it instead of paying a call per record (a measured ~25% of
+  friend RankSegments segmentRank(const RankTrace& rankTrace, const StringTable& names,
+                                  std::size_t expectedSegments);
+
+  /// push()'s body. Defined inline in the .cpp so segmentRank's loop
+  /// inlines it instead of paying a call per record (a measured ~25% of
   /// segmentTrace on sweep3d).
   inline const SegmentHeader* step(const RawRecord& record,
                                    std::vector<EventInterval>& pool);
@@ -84,18 +82,15 @@ class RankSegmenter {
 };
 
 /// Segments one rank's record stream. Throws std::runtime_error on
-/// malformed input (see RankSegmenter).
-RankSegments segmentRank(const RankTrace& rankTrace, const StringTable& names);
-
-/// segmentRank for a caller segmenting many ranks: room for
-/// `expectedSegments` headers is reserved up front (the previous rank's
-/// count, which SPMD ranks repeat) and the headers are trimmed to size after,
-/// so the result holds no unused header capacity. A wrong guess costs a
-/// regrowth or a trim copy, never a wrong result.
+/// malformed input (see RankSegmenter). Room for `expectedSegments` headers
+/// is reserved up front and the headers are trimmed to size after, so the
+/// result holds no unused header capacity; a wrong guess costs a regrowth or
+/// a trim copy, never a wrong result.
 RankSegments segmentRank(const RankTrace& rankTrace, const StringTable& names,
                          std::size_t expectedSegments);
 
-/// Segments an entire trace.
+/// Segments an entire trace. Each rank's expected segment count is the
+/// previous rank's count, which SPMD ranks repeat.
 SegmentedTrace segmentTrace(const Trace& trace);
 
 /// Inverse of segmentTrace: renders segments back into raw marker/enter/exit

@@ -272,15 +272,20 @@ Trace loopTrace(int segments) {
 }
 
 // The rank's events land in one pool and its segments in one header array,
-// each reserved up front: segmenting allocates per rank, never per segment.
+// each reserved up front: segmenting allocates per rank, never per segment,
+// when the expected segment count (segmentTrace passes the previous rank's)
+// is right. A wrong guess still gives the same segments.
 TEST(Segmenter, AllocatesPerRankNotPerSegment) {
   const auto allocationsFor = [](int segments) {
     const Trace trace = loopTrace(segments);
+    const auto count = static_cast<std::size_t>(segments);
     const std::size_t before = gNewCalls.load();
-    const RankSegments segmented = segmentRank(trace.rank(0), trace.names());
+    const RankSegments segmented = segmentRank(trace.rank(0), trace.names(), count);
     const std::size_t allocations = gNewCalls.load() - before;
-    EXPECT_EQ(segmented.size(), static_cast<std::size_t>(segments));
-    EXPECT_EQ(segmented.pool().size(), 2u * static_cast<std::size_t>(segments));
+    EXPECT_EQ(segmented.size(), count);
+    EXPECT_EQ(segmented.pool().size(), 2u * count);
+    for (std::size_t guess : {std::size_t{0}, count / 2, 2 * count + 1})
+      EXPECT_EQ(segmentRank(trace.rank(0), trace.names(), guess), segmented) << guess;
     return allocations;
   };
   const std::size_t few = allocationsFor(10);
@@ -293,7 +298,7 @@ TEST(Segmenter, AllocatesPerRankNotPerSegment) {
 // starting where segment i-1's ended.
 TEST(Segmenter, SegmentsAreViewsIntoOneRankPool) {
   const Trace trace = loopTrace(3);
-  const RankSegments segs = segmentRank(trace.rank(0), trace.names());
+  const RankSegments segs = segmentRank(trace.rank(0), trace.names(), 3);
   ASSERT_EQ(segs.size(), 3u);
   for (std::size_t i = 0; i < segs.size(); ++i) {
     EXPECT_EQ(segs[i].events.data(), segs.pool().data() + 2 * i);
@@ -325,7 +330,7 @@ TEST(Segmenter, CopiesAndMovesOutliveTheirSource) {
 // measurement or rank id does not.
 TEST(Segmenter, EqualityIgnoresPoolLayout) {
   const Trace trace = figureOneTrace();
-  const RankSegments segmented = segmentRank(trace.rank(0), trace.names());
+  const RankSegments segmented = segmentRank(trace.rank(0), trace.names(), 0);
 
   RankSegments rebuilt;
   for (const SegmentView seg : segmented) rebuilt.push_back(seg);
