@@ -1,6 +1,7 @@
 #include "core/similarity.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -12,16 +13,23 @@ namespace tracered::core {
 
 namespace {
 
-double maxAbsOf(const std::vector<double>& v) {
-  double m = 0.0;
-  for (double x : v) m = std::max(m, std::fabs(x));
-  return m;
-}
+/// maxAbs and the candidate norms of one feature vector, taken in one pass
+/// in index order: the same sums, bit for bit, as one pass per statistic.
+struct VecStats {
+  double maxAbs = 0.0;
+  double l1 = 0.0;    ///< sum of |x|
+  double l2sq = 0.0;  ///< sum of x * x
+};
 
-double l2Norm(const std::vector<double>& v) {
-  double acc = 0.0;
-  for (double x : v) acc += x * x;
-  return std::sqrt(acc);
+VecStats statsOf(const std::vector<double>& v) {
+  VecStats st;
+  for (const double x : v) {
+    const double a = std::fabs(x);
+    st.maxAbs = std::max(st.maxAbs, a);
+    st.l1 += a;
+    st.l2sq += x * x;
+  }
+  return st;
 }
 
 double endKey(const SegmentView& s) { return std::fabs(static_cast<double>(s.end)); }
@@ -281,16 +289,12 @@ bool MinkowskiPolicy::similar(const SegmentView& a, const SegmentView& b) const 
 void MinkowskiPolicy::featuresInto(const SegmentView& s, SegmentFeatures& f) const {
   f.vec.resize(1 + 2 * s.events.size());
   writeDistanceVector(s, f.vec);
-  f.maxAbs = maxAbsOf(f.vec);
+  const VecStats st = statsOf(f.vec);
+  f.maxAbs = st.maxAbs;
   switch (order_) {
-    case Order::kManhattan: {
-      double acc = 0.0;
-      for (double x : f.vec) acc += std::fabs(x);
-      f.norm = acc;
-      break;
-    }
-    case Order::kEuclidean: f.norm = l2Norm(f.vec); break;
-    case Order::kChebyshev: f.norm = f.maxAbs; break;
+    case Order::kManhattan: f.norm = st.l1; break;
+    case Order::kEuclidean: f.norm = std::sqrt(st.l2sq); break;
+    case Order::kChebyshev: f.norm = st.maxAbs; break;
   }
 }
 
@@ -315,20 +319,34 @@ bool WaveletPolicy::similar(const SegmentView& a, const SegmentView& b) const {
 }
 
 void WaveletPolicy::featuresInto(const SegmentView& s, SegmentFeatures& f) const {
-  // One buffer: the padded time-stamp vector, then half its length of
-  // transform work space, dropped (capacity kept) once the pyramid is done.
+  // The padded time-stamp vector is written to a work buffer and transformed
+  // from there straight into the features. The buffer is on the stack for
+  // segments of up to 63 events; a longer signal rides behind the features
+  // in `f.vec` until the transform is done, so no length allocates once the
+  // scratch is warm.
   const std::size_t n = wavelet::nextPow2(2 + 2 * s.events.size());
-  f.vec.resize(n + n / 2);
-  const std::span<double> signal(f.vec.data(), n);
-  const std::span<double> work(f.vec.data() + n, n / 2);
+  // Left uninitialized: writeWaveletVector writes every element the
+  // transform reads, and zeroing 1 KiB per candidate would cost more than
+  // the transform of a typical segment.
+  std::array<double, 128> stackSignal;
+  std::span<double> signal;
+  if (n <= stackSignal.size()) {
+    f.vec.resize(n);
+    signal = std::span<double>(stackSignal).first(n);
+  } else {
+    f.vec.resize(2 * n);
+    signal = std::span<double>(f.vec).subspan(n);
+  }
   writeWaveletVector(s, signal);
+  const std::span<double> out = std::span<double>(f.vec).first(n);
   if (kind_ == Kind::kAverage)
-    wavelet::avgTransformInPlace(signal, work);
+    wavelet::avgTransformInto(signal, out);
   else
-    wavelet::haarTransformInPlace(signal, work);
+    wavelet::haarTransformInto(signal, out);
   f.vec.resize(n);
-  f.maxAbs = maxAbsOf(f.vec);
-  f.norm = l2Norm(f.vec);
+  const VecStats st = statsOf(f.vec);
+  f.maxAbs = st.maxAbs;
+  f.norm = std::sqrt(st.l2sq);
 }
 
 bool WaveletPolicy::similarPrepared(const SegmentView&, const SegmentFeatures& fa,

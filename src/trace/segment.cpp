@@ -18,26 +18,49 @@ bool SegmentView::compatible(const SegmentView& other) const {
 }
 
 namespace {
-inline std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
-  h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
+
+// Odd multipliers (the splitmix64 / murmur3 constants): multiplying by one is
+// a bijection on 64-bit words.
+constexpr std::uint64_t kMulA = 0x9e3779b97f4a7c15ull;
+constexpr std::uint64_t kMulB = 0xbf58476d1ce4e5b9ull;
+constexpr std::uint64_t kMulC = 0x94d049bb133111ebull;
+constexpr std::uint64_t kMulD = 0xff51afd7ed558ccdull;
+constexpr std::uint64_t kMulE = 0xc4ceb9fe1a85ec53ull;
+
+std::uint64_t lo32(std::int32_t v) { return static_cast<std::uint32_t>(v); }
+
+/// One event's identity folded into a word. Each field lands in its own
+/// packed word and each word gets its own odd multiplier, so changing any
+/// one field always changes the result; the multiplies are independent of
+/// each other and of the running hash.
+std::uint64_t identityWord(const EventInterval& e) {
+  const std::uint64_t nameOp = e.name | (static_cast<std::uint64_t>(e.op) << 32);
+  const std::uint64_t peerTag = lo32(e.msg.peer) | (lo32(e.msg.tag) << 32);
+  const std::uint64_t rootComm = lo32(e.msg.root) | (lo32(e.msg.comm) << 32);
+  return (nameOp * kMulA) ^ (peerTag * kMulB) ^ (rootComm * kMulC) ^ (e.msg.bytes * kMulD);
+}
+
+/// murmur3's 64-bit finalizer: a bijection that spreads every input bit.
+std::uint64_t fmix64(std::uint64_t h) {
+  h ^= h >> 33;
+  h *= kMulD;
+  h ^= h >> 33;
+  h *= kMulE;
+  h ^= h >> 33;
   return h;
 }
+
 }  // namespace
 
 std::uint64_t SegmentView::signature() const {
-  std::uint64_t h = 0x8f1bbcdcbfa53e0bull;
-  h = mix(h, context);
-  h = mix(h, events.size());
-  for (const auto& e : events) {
-    h = mix(h, e.name);
-    h = mix(h, static_cast<std::uint64_t>(e.op));
-    h = mix(h, static_cast<std::uint64_t>(static_cast<std::uint32_t>(e.msg.peer)));
-    h = mix(h, static_cast<std::uint64_t>(static_cast<std::uint32_t>(e.msg.tag)));
-    h = mix(h, static_cast<std::uint64_t>(static_cast<std::uint32_t>(e.msg.root)));
-    h = mix(h, static_cast<std::uint64_t>(static_cast<std::uint32_t>(e.msg.comm)));
-    h = mix(h, e.msg.bytes);
-  }
-  return h;
+  // A polynomial over the events' identity words: the dependent chain is one
+  // add and one multiply per event. Before the finalizer the hash is
+  // h0 * M^n + sum_i w_i * M^(n-i) (mod 2^64) with M odd, so changing one
+  // word, or the context, always changes it; reordering events moves words
+  // to other powers of M.
+  std::uint64_t h = (context ^ (static_cast<std::uint64_t>(events.size()) << 32)) * kMulB;
+  for (const EventInterval& e : events) h = (h + identityWord(e)) * kMulA;
+  return fmix64(h);
 }
 
 std::vector<double> distanceVector(const SegmentView& s) {

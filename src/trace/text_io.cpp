@@ -1,7 +1,9 @@
 #include "trace/text_io.hpp"
 
+#include <cstdint>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 namespace tracered {
 
@@ -130,10 +132,16 @@ bool TextTraceParser::feedLine(const std::string& line) {
     if (record_.name >= names_.size()) fail(lineNo_, "unknown name id");
     if (op < 0 || op > kMaxOp) fail(lineNo_, "unknown op code");
     record_.op = static_cast<OpKind>(op);
-    if (ls >> record_.msg.peer) {
-      if (!(ls >> record_.msg.tag >> record_.msg.root >> record_.msg.comm >>
-            record_.msg.bytes))
-        fail(lineNo_, "incomplete message info");
+    // Message fields are all absent or all five, each in its field's range
+    // (a failed `>>` must not read as "no message"). `bytes` goes through a
+    // signed read: `>>` into an unsigned type would wrap "-1" to 2^32 - 1.
+    if (!(ls >> std::ws).eof()) {
+      std::int64_t bytes = -1;
+      if (!(ls >> record_.msg.peer >> record_.msg.tag >> record_.msg.root >>
+            record_.msg.comm >> bytes) ||
+          !std::in_range<std::uint32_t>(bytes))
+        fail(lineNo_, "bad message info");
+      record_.msg.bytes = static_cast<std::uint32_t>(bytes);
     }
     if (currentRank_ < 0) fail(lineNo_, "record before any 'rank' line");
     return true;

@@ -12,10 +12,13 @@
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "trace/event.hpp"
 #include "trace/segment.hpp"
 #include "trace/string_table.hpp"
+#include "util/bytebuf.hpp"
 #include "util/time_types.hpp"
 
 namespace tracered::codec {
@@ -34,6 +37,26 @@ inline std::size_t reserveHint(std::uint64_t declared) {
   constexpr std::uint64_t kMaxTrustedCount = 1u << 16;
   return static_cast<std::size_t>(declared < kMaxTrustedCount ? declared
                                                               : kMaxTrustedCount);
+}
+
+/// The longest valid TRF1 record: kind, nameId, timeDelta, op, the msgInfo
+/// presence byte, peer/tag/root/comm and bytes. A decoder with at least this
+/// many bytes left can read one whole record without bounds checks.
+inline constexpr std::size_t kMaxRecordBytes =
+    1 + kMaxVarintBytes + kMaxVarintBytes + 1 + 1 + 4 * kMaxVarintBytes + kMaxVarintBytes;
+static_assert(kMaxRecordBytes == 73);
+
+[[noreturn]] inline void fieldOutOfRange(const char* field) {
+  throw std::runtime_error(std::string("trace_io: ") + field + " out of range");
+}
+
+/// A decoded varint narrowed to its field's type (docs/FORMATS.md §0.1, §1):
+/// a value the type cannot hold is malformed, never silently truncated — the
+/// text reader rejects the same values.
+template <class T, class V>
+T narrow(V v, const char* field) {
+  if (!std::in_range<T>(v)) fieldOutOfRange(field);
+  return static_cast<T>(v);
 }
 
 /// Delta decoding over adversarial input can legally produce any i64 pair, so
@@ -75,17 +98,20 @@ void writeMsgInfo(W& w, const MsgInfo& m) {
   w.uvarint(m.bytes);
 }
 
+// readMsgInfo and readRecord are forced inline: FullTraceDecoder's record
+// loop calls them once per record, and an out-of-line call would keep the
+// reader's cursor in memory instead of a register.
 template <class R>
-MsgInfo readMsgInfo(R& r) {
+[[gnu::always_inline]] inline MsgInfo readMsgInfo(R& r) {
   MsgInfo m;
   const std::uint8_t present = r.u8();
   if (present == 0) return m;
   if (present != 1) throw std::runtime_error("trace_io: bad msg-present byte");
-  m.peer = static_cast<std::int32_t>(r.svarint());
-  m.tag = static_cast<std::int32_t>(r.svarint());
-  m.root = static_cast<std::int32_t>(r.svarint());
-  m.comm = static_cast<std::int32_t>(r.svarint());
-  m.bytes = static_cast<std::uint32_t>(r.uvarint());
+  m.peer = narrow<std::int32_t>(r.svarint(), "peer");
+  m.tag = narrow<std::int32_t>(r.svarint(), "tag");
+  m.root = narrow<std::int32_t>(r.svarint(), "root");
+  m.comm = narrow<std::int32_t>(r.svarint(), "comm");
+  m.bytes = narrow<std::uint32_t>(r.uvarint(), "bytes");
   return m;
 }
 
@@ -118,13 +144,13 @@ void writeRecord(W& w, const RawRecord& rec, TimeUs& prev) {
 }
 
 template <class R>
-RawRecord readRecord(R& r, TimeUs& prev) {
+[[gnu::always_inline]] inline RawRecord readRecord(R& r, TimeUs& prev) {
   RawRecord rec;
   const std::uint8_t kind = r.u8();
   if (kind > static_cast<std::uint8_t>(RecordKind::kSegEnd))
     throw std::runtime_error("trace_io: bad record kind");
   rec.kind = static_cast<RecordKind>(kind);
-  rec.name = static_cast<NameId>(r.uvarint());
+  rec.name = narrow<NameId>(r.uvarint(), "nameId");
   rec.time = wrapAdd(prev, r.svarint());
   prev = rec.time;
   if (rec.kind == RecordKind::kEnter) {
@@ -159,14 +185,14 @@ template <class R>
 Segment readSegment(R& r, Rank rank) {
   Segment s;
   s.rank = rank;
-  s.context = static_cast<NameId>(r.uvarint());
+  s.context = narrow<NameId>(r.uvarint(), "context");
   s.end = r.svarint();
   const std::uint64_t n = r.uvarint();
   s.events.reserve(reserveHint(n));
   TimeUs prev = 0;
   for (std::uint64_t i = 0; i < n; ++i) {
     EventInterval e;
-    e.name = static_cast<NameId>(r.uvarint());
+    e.name = narrow<NameId>(r.uvarint(), "nameId");
     const std::uint8_t op = r.u8();
     if (op > static_cast<std::uint8_t>(OpKind::kOther))
       throw std::runtime_error("trace_io: bad op kind");

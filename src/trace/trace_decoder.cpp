@@ -206,20 +206,39 @@ std::size_t FullTraceDecoder::decodeBinary(const std::uint8_t* p, std::size_t n)
           bin_ = numRanks_ == 0 ? Bin::kDone : Bin::kSection;
           break;
         case Bin::kSection:
-          rank = static_cast<Rank>(r.uvarint());
+          rank = codec::narrow<Rank>(r.uvarint(), "rankId");
           count = r.uvarint();
           sectionRead = true;  // opened below, outside the try
           break;
         case Bin::kRecords: {
           // The hot loop: records go straight into the sink's vector, each
-          // committed once it decoded completely.
+          // committed once it decoded completely. `more` runs before each
+          // record and may stop the loop early.
           std::vector<RawRecord>& out = *records_;
-          for (; recsLeft_ != 0; --recsLeft_) {
-            TimeUs prev = prevTime_;
-            out.push_back(codec::readRecord(r, prev));
-            prevTime_ = prev;
-            done = r.position();
+          const auto readRecords = [&](auto& reader, auto more) {
+            for (; recsLeft_ != 0 && more(); --recsLeft_) {
+              TimeUs prev = prevTime_;
+              out.push_back(codec::readRecord(reader, prev));
+              prevTime_ = prev;
+            }
+          };
+          // While a worst-case record fits in what is left of this push,
+          // read without per-byte bounds checks: same layout, same checks,
+          // same errors, and no record can be cut short.
+          if (r.remaining() >= codec::kMaxRecordBytes) {
+            const std::uint8_t* const last =
+                r.cursor() + (r.remaining() - codec::kMaxRecordBytes);
+            UncheckedByteReader fast(r.cursor());
+            readRecords(fast, [&] { return fast.cursor() <= last; });
+            r.skip(static_cast<std::size_t>(fast.cursor() - r.cursor()));
           }
+          // The push's last bytes: checked, so a record cut by the push end
+          // throws std::out_of_range and waits for the next push. `done`
+          // marks the end of the last complete record.
+          readRecords(r, [&] {
+            done = r.position();
+            return true;
+          });
           bin_ = ++sectionsSeen_ == numRanks_ ? Bin::kDone : Bin::kSection;
           break;
         }

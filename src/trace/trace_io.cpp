@@ -66,7 +66,7 @@ ReducedTrace deserializeReducedTrace(const std::vector<std::uint8_t>& bytes) {
   const std::uint64_t nRanks = r.uvarint();
   for (std::uint64_t i = 0; i < nRanks; ++i) {
     RankReduced rr;
-    rr.rank = static_cast<Rank>(r.uvarint());
+    rr.rank = codec::narrow<Rank>(r.uvarint(), "rankId");
     const std::uint64_t nStored = r.uvarint();
     rr.stored.reserve(codec::reserveHint(nStored));
     for (std::uint64_t j = 0; j < nStored; ++j)
@@ -76,7 +76,7 @@ ReducedTrace deserializeReducedTrace(const std::vector<std::uint8_t>& bytes) {
     TimeUs prev = 0;
     for (std::uint64_t j = 0; j < nExecs; ++j) {
       SegmentExec e;
-      e.id = static_cast<SegmentId>(r.uvarint());
+      e.id = codec::narrow<SegmentId>(r.uvarint(), "representativeId");
       e.start = codec::wrapAdd(prev, r.svarint());
       prev = e.start;
       rr.execs.push_back(e);
@@ -129,14 +129,14 @@ MergedReducedTrace deserializeMergedTrace(const std::vector<std::uint8_t>& bytes
   out.rankIds.reserve(codec::reserveHint(nRanks));
   out.execs.reserve(codec::reserveHint(nRanks));
   for (std::uint64_t i = 0; i < nRanks; ++i) {
-    out.rankIds.push_back(static_cast<Rank>(r.uvarint()));
+    out.rankIds.push_back(codec::narrow<Rank>(r.uvarint(), "rankId"));
     const std::uint64_t nExecs = r.uvarint();
     std::vector<SegmentExec> execs;
     execs.reserve(codec::reserveHint(nExecs));
     TimeUs prev = 0;
     for (std::uint64_t j = 0; j < nExecs; ++j) {
       SegmentExec e;
-      e.id = static_cast<SegmentId>(r.uvarint());
+      e.id = codec::narrow<SegmentId>(r.uvarint(), "representativeId");
       if (e.id >= out.sharedStore.size())
         throw std::runtime_error("trace_io: merged exec id out of range");
       e.start = codec::wrapAdd(prev, r.svarint());

@@ -57,6 +57,44 @@ class ByteWriter {
   std::vector<std::uint8_t> buf_;
 };
 
+/// Longest valid uvarint/svarint encoding: 64 bits at 7 per byte.
+inline constexpr std::size_t kMaxVarintBytes = 10;
+
+namespace bytebuf_detail {
+
+/// An unsigned LEB128 whose first byte, `first`, has the continuation bit
+/// set: reads the rest through `next()` (one byte per call) and applies
+/// FORMATS.md's validity rules. ByteReader and UncheckedByteReader decode the
+/// one-byte case first and share this for the rest, so both reject the same
+/// bytes with the same error, in the same order; it never reads past
+/// kMaxVarintBytes in all.
+template <class NextByte>
+inline std::uint64_t uvarintTail(std::uint8_t first, NextByte next) {
+  std::uint64_t v = first & 0x7f;
+  for (int shift = 7;; shift += 7) {
+    const std::uint8_t b = next();
+    // The 10th byte may only carry bit 63: anything above is >= 64
+    // significant bits, which FORMATS.md declares malformed — reject
+    // instead of silently truncating the shifted-out payload. This is a
+    // std::runtime_error, NOT std::out_of_range: out_of_range means
+    // "truncated, more bytes could fix it" (the push decoder waits on
+    // it), while an overflowing varint can never become valid no matter
+    // how many bytes follow.
+    if (shift == 63 && (b & 0x7e) != 0)
+      throw std::runtime_error("uvarint overflows 64 bits");
+    v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
+    if ((b & 0x80) == 0) return v;
+    if (shift + 7 >= 64) throw std::runtime_error("uvarint too long");
+  }
+}
+
+/// Inverse of ByteWriter::svarint's zig-zag mapping.
+inline std::int64_t unzigzag(std::uint64_t z) {
+  return static_cast<std::int64_t>((z >> 1) ^ (~(z & 1) + 1));
+}
+
+}  // namespace bytebuf_detail
+
 /// Reader over a byte span with the primitive decoders matching ByteWriter.
 /// Throws std::out_of_range on truncated input ("more bytes might complete
 /// this": the push decoder waits on it) and std::runtime_error on malformed
@@ -88,31 +126,11 @@ class ByteReader {
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
 
   std::uint64_t uvarint() {
-    std::uint64_t v = 0;
-    int shift = 0;
-    for (;;) {
-      const std::uint8_t b = u8();
-      // The 10th byte may only carry bit 63: anything above is >= 64
-      // significant bits, which FORMATS.md declares malformed — reject
-      // instead of silently truncating the shifted-out payload. This is a
-      // std::runtime_error, NOT std::out_of_range: out_of_range means
-      // "truncated, more bytes could fix it" (the push decoder waits on
-      // it), while an overflowing varint can never become valid no matter
-      // how many bytes follow.
-      if (shift == 63 && (b & 0x7e) != 0)
-        throw std::runtime_error("uvarint overflows 64 bits");
-      v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-      if ((b & 0x80) == 0) break;
-      shift += 7;
-      if (shift >= 64) throw std::runtime_error("uvarint too long");
-    }
-    return v;
+    const std::uint8_t b = u8();
+    return b < 0x80 ? b : bytebuf_detail::uvarintTail(b, [this] { return u8(); });
   }
 
-  std::int64_t svarint() {
-    const std::uint64_t z = uvarint();
-    return static_cast<std::int64_t>((z >> 1) ^ (~(z & 1) + 1));
-  }
+  std::int64_t svarint() { return bytebuf_detail::unzigzag(uvarint()); }
 
   /// Length-prefixed string.
   std::string str() {
@@ -126,6 +144,16 @@ class ByteReader {
   bool atEnd() const { return pos_ == size_; }
   std::size_t position() const { return pos_; }
 
+  /// The unread bytes: where the next read starts and how many are left.
+  const std::uint8_t* cursor() const { return buf_ + pos_; }
+  std::size_t remaining() const { return size_ - pos_; }
+
+  /// Moves past `n` bytes (read by other means, e.g. UncheckedByteReader).
+  void skip(std::size_t n) {
+    need(n);
+    pos_ += n;
+  }
+
  private:
   // Compared via subtraction (pos_ <= size_ always) so a corrupt near-2^64
   // length prefix cannot wrap `pos_ + n` past the bound.
@@ -136,6 +164,29 @@ class ByteReader {
   const std::uint8_t* buf_;
   std::size_t size_;
   std::size_t pos_ = 0;
+};
+
+/// ByteReader's u8/uvarint/svarint without bounds checks, for a caller that
+/// has already shown enough bytes remain for everything it will read (e.g.
+/// one worst-case record). Malformed input gets ByteReader's errors;
+/// std::out_of_range never arises.
+class UncheckedByteReader {
+ public:
+  explicit UncheckedByteReader(const std::uint8_t* data) : p_(data) {}
+
+  std::uint8_t u8() { return *p_++; }
+
+  std::uint64_t uvarint() {
+    const std::uint8_t b = u8();
+    return b < 0x80 ? b : bytebuf_detail::uvarintTail(b, [this] { return u8(); });
+  }
+
+  std::int64_t svarint() { return bytebuf_detail::unzigzag(uvarint()); }
+
+  const std::uint8_t* cursor() const { return p_; }
+
+ private:
+  const std::uint8_t* p_;
 };
 
 }  // namespace tracered

@@ -10,8 +10,6 @@ namespace tracered::wavelet {
 
 namespace {
 
-constexpr double kSqrt2 = 1.4142135623730951;
-
 bool isPow2(std::size_t n) { return n != 0 && (n & (n - 1)) == 0; }
 
 void requirePow2(std::size_t n, const char* who) {
@@ -19,15 +17,14 @@ void requirePow2(std::size_t n, const char* who) {
     throw std::invalid_argument(std::string(who) + ": length must be a power of two");
 }
 
-// One forward level: trend i is written over v[i] (pair i reads v[2i] and
-// v[2i+1], which no earlier pair has overwritten), detail i goes to scratch
-// and is copied behind the trends once every pair has been read.
+// One forward level over v[0, len), in place: the details go to scratch and
+// are copied behind the trends once every pair has been read.
 template <typename Pair>
 void forwardStep(std::span<double> v, std::size_t len, std::span<double> scratch,
                  Pair pair) {
   assert(len % 2 == 0 && len <= v.size() && scratch.size() >= len / 2);
   const std::size_t half = len / 2;
-  for (std::size_t i = 0; i < half; ++i) pair(v[2 * i], v[2 * i + 1], v[i], scratch[i]);
+  detail::forwardLevel(v.data(), half, v.data(), scratch.data(), pair);
   std::copy_n(scratch.begin(), half, v.begin() + half);
 }
 
@@ -43,24 +40,14 @@ void inverseStep(std::span<double> v, std::size_t len, std::span<double> scratch
   for (std::size_t i = half; i-- > 0;) pair(v[i], scratch[i], v[2 * i], v[2 * i + 1]);
 }
 
-constexpr auto avgPair = [](double a, double b, double& trend, double& detail) {
-  trend = (a + b) / 2.0;
-  detail = (a - b) / 2.0;
-};
-
-constexpr auto haarPair = [](double a, double b, double& trend, double& detail) {
-  trend = (a + b) / kSqrt2;
-  detail = (a - b) / kSqrt2;
-};
-
 constexpr auto avgInversePair = [](double t, double d, double& a, double& b) {
   a = t + d;
   b = t - d;
 };
 
 constexpr auto haarInversePair = [](double t, double d, double& a, double& b) {
-  a = (t + d) / kSqrt2;
-  b = (t - d) / kSqrt2;
+  a = (t + d) / detail::kSqrt2;
+  b = (t - d) / detail::kSqrt2;
 };
 
 template <typename Pair>
@@ -85,12 +72,6 @@ std::vector<double> withScratch(std::vector<double> v, InPlace inPlace) {
 
 }  // namespace
 
-std::size_t nextPow2(std::size_t n) {
-  std::size_t p = 1;
-  while (p < n) p *= 2;
-  return p;
-}
-
 std::vector<double> padToPow2(std::vector<double> v) {
   v.resize(nextPow2(v.size()), 0.0);
   return v;
@@ -98,20 +79,20 @@ std::vector<double> padToPow2(std::vector<double> v) {
 
 void avgStep(std::vector<double>& v, std::size_t len) {
   std::vector<double> scratch(len / 2);
-  forwardStep(v, len, scratch, avgPair);
+  forwardStep(v, len, scratch, detail::avgPair);
 }
 
 void haarStep(std::vector<double>& v, std::size_t len) {
   std::vector<double> scratch(len / 2);
-  forwardStep(v, len, scratch, haarPair);
+  forwardStep(v, len, scratch, detail::haarPair);
 }
 
 void avgTransformInPlace(std::span<double> v, std::span<double> scratch) {
-  pyramid(v, scratch, avgPair);
+  pyramid(v, scratch, detail::avgPair);
 }
 
 void haarTransformInPlace(std::span<double> v, std::span<double> scratch) {
-  pyramid(v, scratch, haarPair);
+  pyramid(v, scratch, detail::haarPair);
 }
 
 void avgInverseInPlace(std::span<double> v, std::span<double> scratch) {

@@ -5,8 +5,10 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <tuple>
 #include <unordered_set>
+#include <vector>
 
 #include "core/methods.hpp"
 #include "core/reconstruct.hpp"
@@ -202,6 +204,27 @@ TEST_P(WorkloadSanity, GeneratesSegmentsAndDiagnosis) {
   EXPECT_GT(p.fullBytes, 0u);
   // Every workload in the study has a diagnosable inefficiency.
   EXPECT_NE(p.fullCube.dominantWait().callsite, kInvalidName);
+}
+
+// Signatures are only bucket keys, so a collision would cost scan time and
+// shift reconstruct's group count: across every rank of every registered
+// workload, distinct signatures and compatibility classes coincide.
+TEST_P(WorkloadSanity, DistinctSignaturesEqualCompatibilityClasses) {
+  const PreparedTrace& p = cachedTrace(GetParam());
+  std::unordered_set<std::uint64_t> signatures;
+  std::set<std::vector<std::int64_t>> classes;  // identity keys, no hashing
+  for (const RankSegments& rs : p.segmented.ranks) {
+    for (const SegmentView s : rs) {
+      signatures.insert(s.signature());
+      std::vector<std::int64_t> key = {s.context, static_cast<std::int64_t>(s.events.size())};
+      for (const EventInterval& e : s.events)
+        key.insert(key.end(), {e.name, static_cast<std::int64_t>(e.op), e.msg.peer, e.msg.tag,
+                               e.msg.root, e.msg.comm, e.msg.bytes});
+      classes.insert(std::move(key));
+    }
+  }
+  EXPECT_GT(classes.size(), 0u);
+  EXPECT_EQ(signatures.size(), classes.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(WholeRegistry, WorkloadSanity,

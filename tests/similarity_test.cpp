@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <new>
 
@@ -14,6 +15,7 @@
 #include "core/segment_store.hpp"
 #include "core/similarity.hpp"
 #include "test_helpers.hpp"
+#include "wavelet/wavelet.hpp"
 
 // Every global operator new in this binary is counted, so a test can assert
 // that a code path allocates nothing (array new and the array deletes
@@ -111,6 +113,83 @@ TEST(Policies, FeaturesIntoDirtyScratchEqualsFresh) {
       EXPECT_TRUE(sameBits(dirty.vec[i], fresh.vec[i])) << "element " << i;
     EXPECT_TRUE(sameBits(dirty.norm, fresh.norm));
     EXPECT_TRUE(sameBits(dirty.maxAbs, fresh.maxAbs));
+  }
+}
+
+/// The composition featuresInto must reproduce bit for bit: the public
+/// measurement vector, padded and transformed by the std::vector forms, with
+/// maxAbs and each norm taken in its own pass in index order.
+SegmentFeatures referenceFeatures(Method m, const SegmentView& s) {
+  SegmentFeatures f;
+  if (m == Method::kAvgWave)
+    f.vec = wavelet::avgTransform(wavelet::padToPow2(waveletVector(s)));
+  else if (m == Method::kHaarWave)
+    f.vec = wavelet::haarTransform(wavelet::padToPow2(waveletVector(s)));
+  else
+    f.vec = distanceVector(s);
+  double maxAbs = 0.0;
+  for (const double x : f.vec) maxAbs = std::max(maxAbs, std::fabs(x));
+  double l1 = 0.0;
+  for (const double x : f.vec) l1 += std::fabs(x);
+  double l2 = 0.0;
+  for (const double x : f.vec) l2 += x * x;
+  f.maxAbs = maxAbs;
+  f.norm = m == Method::kManhattan   ? l1
+           : m == Method::kChebyshev ? maxAbs
+                                     : std::sqrt(l2);
+  return f;
+}
+
+/// A segment of `n` events with times spread over many magnitudes, some
+/// negative (adversarial traces carry any i64), from a fixed-seed LCG.
+Segment spreadSegment(StringTable& names, std::size_t n, std::uint64_t seed) {
+  std::uint64_t x = seed * 0x9e3779b97f4a7c15ull + 1;
+  const auto next = [&] {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    const int shift = 10 + static_cast<int>((x >> 32) % 54);  // |t| < 2^53 down to 0
+    return static_cast<TimeUs>(static_cast<std::int64_t>(x) >> shift);
+  };
+  std::vector<testing::Ev> events;
+  for (std::size_t i = 0; i < n; ++i) events.push_back({"f", OpKind::kCompute, next(), next(), {}});
+  return makeSegment(names, "main.1", 0, next(), events);
+}
+
+void expectSameFeatures(const SegmentFeatures& got, const SegmentFeatures& want) {
+  ASSERT_EQ(got.vec.size(), want.vec.size());
+  EXPECT_EQ(std::memcmp(got.vec.data(), want.vec.data(), want.vec.size() * sizeof(double)), 0);
+  EXPECT_EQ(got.norm, want.norm);
+  EXPECT_EQ(got.maxAbs, want.maxAbs);
+}
+
+// featuresInto is the one-pass form of the reference composition: the same
+// bits for every metric method and every segment length, on both sides of
+// the wavelet's on-stack work buffer (63 events), whatever the scratch last
+// held.
+TEST(Policies, FeaturesIntoMatchesTheReferenceComposition) {
+  StringTable names;
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 0; n <= 40; ++n) sizes.push_back(n);
+  for (const std::size_t n : {63, 64, 100}) sizes.push_back(n);
+  for (Method m : featureMethods()) {
+    SCOPED_TRACE(methodName(m));
+    const auto policy = makePolicy(m, defaultThreshold(m));
+    const auto& dist = dynamic_cast<const DistancePolicy&>(*policy);
+    for (const std::size_t n : sizes) {
+      SCOPED_TRACE(std::to_string(n) + " events");
+      const Segment seg = spreadSegment(names, n, n);
+      const SegmentFeatures want = referenceFeatures(m, seg);
+      SegmentFeatures fresh;
+      dist.featuresInto(seg, fresh);
+      expectSameFeatures(fresh, want);
+      SegmentFeatures afterLonger;
+      dist.featuresInto(spreadSegment(names, n + 9, 1000 + n), afterLonger);
+      dist.featuresInto(seg, afterLonger);
+      expectSameFeatures(afterLonger, want);
+      SegmentFeatures afterShorter;
+      dist.featuresInto(spreadSegment(names, n / 2, 2000 + n), afterShorter);
+      dist.featuresInto(seg, afterShorter);
+      expectSameFeatures(afterShorter, want);
+    }
   }
 }
 

@@ -106,6 +106,20 @@ TEST(TextIO, RejectsMalformedInput) {
                std::runtime_error);  // unknown name
   EXPECT_THROW(traceFromText("ranks 1\nstring 0 x\nrank 0\n> 0 0 99\n"),
                std::runtime_error);  // unknown op
+  // Message info: all five fields or none, each within its 32-bit field
+  // (docs/FORMATS.md §0.1), as the binary readers require.
+  const std::string enter = "ranks 1\nstring 0 x\nrank 0\n> 0 0 1 ";
+  EXPECT_THROW(traceFromText(enter + "3 7 -1\n"), std::runtime_error);  // incomplete
+  EXPECT_THROW(traceFromText(enter + "2147483648 7 -1 0 128\n"), std::runtime_error);
+  EXPECT_THROW(traceFromText(enter + "3 7 -2147483649 0 128\n"), std::runtime_error);
+  EXPECT_THROW(traceFromText(enter + "3 7 -1 0 4294967296\n"), std::runtime_error);
+  EXPECT_THROW(traceFromText(enter + "3 7 -1 0 -1\n"), std::runtime_error);
+  EXPECT_THROW(traceFromText(enter + "peer 7 -1 0 128\n"), std::runtime_error);
+  EXPECT_EQ(traceFromText(enter + "2147483647 7 -2147483648 0 4294967295\n")
+                .rank(0)
+                .records[0]
+                .msg.peer,
+            2147483647);
   // A second `ranks` directive would let whole-file and chunked parsing
   // diverge (chunked readers snapshot the count at open): reject it.
   EXPECT_THROW(traceFromText("ranks 1\nstring 0 x\nrank 0\nB 0 0\nE 1 0\nranks 2\n"),

@@ -17,6 +17,7 @@
 #include <functional>
 #include <optional>
 #include <sstream>
+#include <typeinfo>
 
 #include "core/cross_rank.hpp"
 #include "core/reconstruct.hpp"
@@ -412,6 +413,32 @@ TEST(TraceFile, EverySurfaceDecodesEveryPushSplitIdentically) {
   }
 }
 
+/// How a decode ended: the dynamic type and what() of what it threw, or an
+/// empty type name when it returned.
+struct Outcome {
+  std::string type;
+  std::string what;
+};
+
+template <class Fn>
+Outcome outcomeOf(Fn&& decode) {
+  try {
+    decode();
+  } catch (const std::exception& e) {
+    return {typeid(e).name(), e.what()};
+  }
+  return {};
+}
+
+/// True when `o`, from a surface with a bounded parse window, is the
+/// window's rejection of a length the unbounded whole-buffer decode
+/// (`whole`) waited on until the input ended truncated.
+bool windowRejection(const Outcome& whole, const Outcome& o) {
+  return whole.type == typeid(std::out_of_range).name() &&
+         o.type == typeid(std::runtime_error).name() &&
+         o.what.find("-byte parse window") != std::string::npos;
+}
+
 TEST(TraceFile, EverySurfaceAgreesOnTheRegressionCorpus) {
   namespace fs = std::filesystem;
   const fs::path dir = fs::path(TRACERED_SOURCE_DIR) / "fuzz/corpus/regressions/trace_file";
@@ -425,17 +452,40 @@ TEST(TraceFile, EverySurfaceAgreesOnTheRegressionCorpus) {
     SCOPED_TRACE(file.filename().string());
     const std::vector<std::uint8_t> bytes = readFile(file.string());
     const auto whole = acceptedBy([&] { return deserializeFullTrace(bytes); });
+    const Outcome wholeOutcome = outcomeOf([&] { deserializeFullTrace(bytes); });
     for (const std::size_t chunk : kReaderChunks) {
       SCOPED_TRACE("reader chunk " + std::to_string(chunk));
       const auto chunked =
           acceptedBy([&] { return TraceFileReader(file.string(), chunk).readAll(); });
       ASSERT_EQ(chunked.has_value(), whole.has_value());
       if (whole) expectSameTrace(*chunked, *whole);
+      // The same diagnostic, whichever part of the decoder met the bad byte;
+      // a header error names the file.
+      const Outcome o = outcomeOf([&] { TraceFileReader(file.string(), chunk).readAll(); });
+      if (windowRejection(wholeOutcome, o)) continue;
+      EXPECT_EQ(o.type, wholeOutcome.type);
+      if (o.what != wholeOutcome.what) {
+        EXPECT_EQ(o.what, "trace_file: '" + file.string() + "': " + wholeOutcome.what);
+      }
     }
-    for (const std::size_t chunk : kFeederChunks)
+    for (const std::size_t chunk : kFeederChunks) {
+      SCOPED_TRACE("feeder chunk " + std::to_string(chunk));
       EXPECT_EQ(acceptedBy([&] { return feedReduced(bytes, chunk, config); }).has_value(),
-                whole.has_value())
-          << "feeder chunk " << chunk;
+                whole.has_value());
+      // The feeder reports a truncated stream as a runtime_error that quotes
+      // the decoder's message; every other outcome is the decoder's own.
+      const Outcome o = outcomeOf([&] { feedReduced(bytes, chunk, config); });
+      if (windowRejection(wholeOutcome, o)) continue;
+      if (wholeOutcome.type == typeid(std::out_of_range).name()) {
+        EXPECT_EQ(o.type, typeid(std::runtime_error).name());
+        EXPECT_EQ(o.what.rfind("serve: truncated trace stream (" + wholeOutcome.what + ", ", 0),
+                  0u)
+            << o.what;
+      } else {
+        EXPECT_EQ(o.type, wholeOutcome.type);
+        EXPECT_EQ(o.what, wholeOutcome.what);
+      }
+    }
   }
 }
 

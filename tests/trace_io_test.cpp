@@ -1,11 +1,15 @@
 // Round-trip and size-behaviour tests for the binary trace formats.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <limits>
+#include <utility>
 
 #include "core/reduction_config.hpp"
 #include "serve/feeder.hpp"
 #include "trace/trace_codec.hpp"
+#include "trace/trace_decoder.hpp"
 #include "trace/trace_file.hpp"
 #include "trace/trace_io.hpp"
 #include "trace/segmenter.hpp"
@@ -137,6 +141,153 @@ ReducedTrace smallReduced() {
   rr.execs = {{0, 100}, {0, 200}, {0, 330}};
   rt.ranks.push_back(std::move(rr));
   return rt;
+}
+
+/// Raw field values of a one-rank TRF1 holding a single enter record with a
+/// message, before any narrowing to the in-memory types.
+struct WideRecord {
+  std::uint64_t rankId = 0;
+  std::uint64_t nameId = 0;
+  std::int64_t peer = 1;
+  std::int64_t tag = 2;
+  std::int64_t root = 3;
+  std::int64_t comm = 4;
+  std::uint64_t bytes = 5;
+};
+
+std::vector<std::uint8_t> encodeWide(const WideRecord& f) {
+  ByteWriter w;
+  w.u32(codec::kFullMagic);
+  w.u8(codec::kVersion);
+  w.uvarint(1);
+  w.str("MPI_Send");
+  w.uvarint(1);  // one rank section
+  w.uvarint(f.rankId);
+  w.uvarint(1);  // one record
+  w.u8(static_cast<std::uint8_t>(RecordKind::kEnter));
+  w.uvarint(f.nameId);
+  w.svarint(10);
+  w.u8(static_cast<std::uint8_t>(OpKind::kSend));
+  w.u8(1);
+  w.svarint(f.peer);
+  w.svarint(f.tag);
+  w.svarint(f.root);
+  w.svarint(f.comm);
+  w.uvarint(f.bytes);
+  return w.bytes();
+}
+
+/// The decoder's outcome for `bytes` pushed `chunk` bytes at a time:
+/// the what() of the error, or "" when accepted.
+std::string decodeError(const std::vector<std::uint8_t>& bytes, std::size_t chunk) {
+  try {
+    TraceBuilder builder;
+    FullTraceDecoder decoder;
+    decoder.attach(builder);
+    for (std::size_t off = 0; off < bytes.size(); off += chunk)
+      decoder.push(bytes.data() + off, std::min(chunk, bytes.size() - off));
+    decoder.finish();
+  } catch (const std::exception& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// A binary field wider than its in-memory type is malformed, as in the text
+// reader: narrowing it would decode a different trace than the file holds.
+TEST(TraceIO, BinaryReadersRejectOutOfRangeFields) {
+  constexpr std::int64_t kI32Max = std::numeric_limits<std::int32_t>::max();
+  constexpr std::int64_t kI32Min = std::numeric_limits<std::int32_t>::min();
+  constexpr std::uint64_t kU32Max = std::numeric_limits<std::uint32_t>::max();
+  const std::vector<std::pair<std::string, WideRecord>> bad = {
+      {"rankId", {.rankId = std::uint64_t{1} << 32}},
+      {"rankId", {.rankId = std::uint64_t{1} << 31}},
+      {"nameId", {.nameId = kU32Max + 1}},
+      {"peer", {.peer = kI32Max + 1}},
+      {"peer", {.peer = std::int64_t{1} << 31}},
+      {"tag", {.tag = kI32Min - 1}},
+      {"root", {.root = std::numeric_limits<std::int64_t>::min()}},
+      {"comm", {.comm = std::numeric_limits<std::int64_t>::max()}},
+      {"bytes", {.bytes = (std::uint64_t{1} << 32) + 5}},
+  };
+  for (const auto& [field, rec] : bad) {
+    SCOPED_TRACE(field);
+    const std::vector<std::uint8_t> bytes = encodeWide(rec);
+    const std::string want = "trace_io: " + field + " out of range";
+    EXPECT_EQ(thrownMessage([&] { deserializeFullTrace(bytes); }), want);
+    EXPECT_EQ(decodeError(bytes, 1), want);
+  }
+
+  // The extremes each type holds decode, and re-encode to the same bytes.
+  const WideRecord edge{.rankId = kI32Max,
+                        .nameId = 0,
+                        .peer = kI32Min,
+                        .tag = kI32Max,
+                        .root = -1,
+                        .comm = kI32Min,
+                        .bytes = kU32Max};
+  const std::vector<std::uint8_t> bytes = encodeWide(edge);
+  const Trace trace = deserializeFullTrace(bytes);
+  ASSERT_EQ(trace.numRanks(), 1);
+  EXPECT_EQ(trace.rank(0).rank, kI32Max);
+  EXPECT_EQ(trace.rank(0).records.at(0).msg.bytes, kU32Max);
+  EXPECT_EQ(serializeFullTrace(trace), bytes);
+  EXPECT_EQ(decodeError(bytes, 1), "");
+}
+
+TEST(TraceIO, ReducedAndMergedReadersRejectOutOfRangeFields) {
+  constexpr std::uint64_t kWide = std::uint64_t{1} << 32;
+  const ReducedTrace rt = smallReduced();
+  // Writes TRR1 by hand, with `patch` choosing which field is too wide.
+  const auto reduced = [&](const std::string& patch) {
+    ByteWriter w;
+    w.u32(codec::kReducedMagic);
+    w.u8(codec::kVersion);
+    codec::writeStringTable(w, rt.names);
+    w.uvarint(1);
+    w.uvarint(patch == "rankId" ? kWide : 0);
+    w.uvarint(1);  // one stored segment, one event
+    w.uvarint(patch == "context" ? kWide : 0);
+    w.svarint(50);
+    w.uvarint(1);
+    w.uvarint(patch == "nameId" ? kWide : 1);
+    w.u8(0);
+    w.svarint(1);
+    w.svarint(19);
+    codec::writeMsgInfo(w, MsgInfo{});
+    w.uvarint(1);  // one exec
+    w.uvarint(patch == "representativeId" ? kWide : 0);
+    w.svarint(100);
+    return w.bytes();
+  };
+  EXPECT_NO_THROW(deserializeReducedTrace(reduced("")));
+  for (const std::string field : {"rankId", "context", "nameId", "representativeId"}) {
+    SCOPED_TRACE(field);
+    EXPECT_EQ(thrownMessage([&] { deserializeReducedTrace(reduced(field)); }),
+              "trace_io: " + field + " out of range");
+  }
+
+  const auto merged = [&](const std::string& patch) {
+    ByteWriter w;
+    w.u32(codec::kMergedMagic);
+    w.u8(codec::kVersion);
+    codec::writeStringTable(w, rt.names);
+    w.uvarint(1);
+    codec::writeSegment(w, rt.ranks[0].stored[0]);
+    w.uvarint(1);
+    w.uvarint(patch == "rankId" ? kWide : 0);
+    w.uvarint(1);
+    // 2^32 would narrow to id 0, a valid index into the one-entry store.
+    w.uvarint(patch == "representativeId" ? kWide : 0);
+    w.svarint(100);
+    return w.bytes();
+  };
+  EXPECT_NO_THROW(deserializeMergedTrace(merged("")));
+  for (const std::string field : {"rankId", "representativeId"}) {
+    SCOPED_TRACE(field);
+    EXPECT_EQ(thrownMessage([&] { deserializeMergedTrace(merged(field)); }),
+              "trace_io: " + field + " out of range");
+  }
 }
 
 TEST(TraceIO, ReducedTraceRoundTrips) {

@@ -2,6 +2,11 @@
 // segments and their measurement vectors / signatures.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "trace/segment.hpp"
 #include "trace/trace.hpp"
 #include "test_helpers.hpp"
@@ -104,6 +109,55 @@ TEST(Segment, SignatureAgreesWithCompatibility) {
   Segment c = a;
   c.events[0].msg.tag = 9;
   EXPECT_NE(a.view().signature(), c.view().signature());
+}
+
+// The signature is a function of the segment's identity alone (context,
+// event count, each event's name, op and message), and sees every part of
+// it: one changed field, an added event or two swapped events move it.
+TEST(Segment, SignatureSeesEveryIdentityFieldAndTheEventOrder) {
+  StringTable names;
+  MsgInfo m;
+  m.peer = 3;
+  m.tag = 11;
+  m.root = 0;
+  m.comm = 2;
+  m.bytes = 4096;
+  const Segment base = testing::makeSegment(
+      names, "main.1", 0, 90,
+      {{"do_work", OpKind::kCompute, 1, 20, {}},
+       {"MPI_Send", OpKind::kSend, 21, 40, m},
+       {"MPI_Recv", OpKind::kRecv, 41, 80, m}});
+  const std::uint64_t sig = base.view().signature();
+
+  Segment retimed = base;
+  retimed.absStart = 1000;
+  retimed.end = 95;
+  for (EventInterval& e : retimed.events) {
+    e.start += 2;
+    e.end += 3;
+  }
+  EXPECT_EQ(retimed.view().signature(), sig);
+
+  const std::vector<std::pair<std::string, std::function<void(Segment&)>>> changes = {
+      {"context", [&](Segment& s) { s.context = names.intern("main.2"); }},
+      {"event count", [](Segment& s) { s.events.push_back(s.events[0]); }},
+      {"fewer events", [](Segment& s) { s.events.pop_back(); }},
+      {"name", [&](Segment& s) { s.events[1].name = names.intern("MPI_Isend"); }},
+      {"op", [](Segment& s) { s.events[1].op = OpKind::kSsend; }},
+      {"peer", [](Segment& s) { s.events[1].msg.peer = 4; }},
+      {"tag", [](Segment& s) { s.events[1].msg.tag = 12; }},
+      {"root", [](Segment& s) { s.events[2].msg.root = -1; }},
+      {"comm", [](Segment& s) { s.events[2].msg.comm = 3; }},
+      {"bytes", [](Segment& s) { s.events[2].msg.bytes = 4097; }},
+      {"swapped events", [](Segment& s) { std::swap(s.events[1], s.events[2]); }},
+  };
+  for (const auto& [what, change] : changes) {
+    SCOPED_TRACE(what);
+    Segment changed = base;
+    change(changed);
+    EXPECT_FALSE(changed.view().compatible(base));
+    EXPECT_NE(changed.view().signature(), sig);
+  }
 }
 
 TEST(Segment, ForEachMeasurementPairVisitsAllAndShortCircuits) {
