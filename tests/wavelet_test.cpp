@@ -199,6 +199,7 @@ std::ptrdiff_t firstBitDifference(const std::vector<double>& a, const std::vecto
 
 // Every signal length from 1 to 1024, zero-padded as the wavelet methods
 // pad: the in-place transforms and inverses (over a minimum-size scratch
+// holding garbage), the out-of-place forward transforms (into an output
 // holding garbage) and the vector wrappers equal the literal per-level
 // temporaries bit for bit.
 TEST(Wavelet, InPlaceFormsEqualLiteralTemporariesBitForBit) {
@@ -218,6 +219,15 @@ TEST(Wavelet, InPlaceFormsEqualLiteralTemporariesBitForBit) {
       {"avgInverse", avgInverseInPlace, avgInverse, false, 1.0},
       {"haarInverse", haarInverseInPlace, haarInverse, false, kSqrt2},
   };
+  struct IntoForm {
+    const char* name;
+    void (*into)(std::span<double> signal, std::span<double> out);
+    double divisor;
+  };
+  const IntoForm intoForms[] = {
+      {"avgTransformInto", avgTransformInto, 2.0},
+      {"haarTransformInto", haarTransformInto, kSqrt2},
+  };
   for (std::size_t n = 1; n <= 1024; ++n) {
     std::vector<double> signal(n);
     for (auto& x : signal) x = rng.nextDouble() * 2000.0 - 1000.0;
@@ -232,6 +242,13 @@ TEST(Wavelet, InPlaceFormsEqualLiteralTemporariesBitForBit) {
       ASSERT_EQ(firstBitDifference(inPlace, want), -1) << f.name << " n=" << n;
       ASSERT_EQ(firstBitDifference(f.wrapper(padded), want), -1)
           << f.name << " wrapper n=" << n;
+    }
+    for (const IntoForm& f : intoForms) {
+      std::vector<double> clobbered = padded;
+      std::vector<double> out(padded.size(), std::numeric_limits<double>::quiet_NaN());
+      f.into(clobbered, out);
+      ASSERT_EQ(firstBitDifference(out, literalForward(padded, f.divisor)), -1)
+          << f.name << " n=" << n;
     }
   }
 }
