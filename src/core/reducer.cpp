@@ -30,12 +30,12 @@ RankOutcome reduceRank(const RankSegments& rank, SimilarityPolicy& policy) {
 
 }  // namespace
 
-std::size_t shardWorkers(const util::Executor* executor, std::size_t numItems) {
+std::size_t shardWorkers(const util::PooledExecutor* executor, std::size_t numItems) {
   if (executor == nullptr || numItems == 0) return 1;
   return std::min(executor->concurrency(), numItems);
 }
 
-void runSharded(util::Executor* executor, std::size_t numItems,
+void runSharded(util::PooledExecutor* executor, std::size_t numItems,
                 const std::function<void(std::size_t, std::size_t)>& fn,
                 const ProgressFn& progress) {
   std::size_t done = 0;

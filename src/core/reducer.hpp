@@ -10,10 +10,10 @@
 // header provides the whole-trace drivers: the policy-level serial
 // `reduceTrace` (one caller-owned policy reused across ranks — the primitive
 // custom policies plug into) and the config-driven driver, which shards
-// ranks through the ReductionConfig's executor (a caller-owned Executor that
-// amortizes worker spawn/join across calls), or runs them inline when it is
-// null. Results are assembled in rank order, so every executor is
-// bit-identical to serial.
+// ranks through the ReductionConfig's executor (a caller-owned
+// PooledExecutor that amortizes worker spawn/join across calls), or runs
+// them inline when it is null. Results are assembled in rank order, so
+// every executor is bit-identical to serial.
 #pragma once
 
 #include <cstddef>
@@ -50,14 +50,14 @@ using ProgressFn = std::function<void(std::size_t, std::size_t)>;
 /// Workers runSharded(executor, numItems, ...) may use: min(executor
 /// concurrency, numItems), 1 when `executor` is null or there are no items.
 /// Size per-worker state (e.g. one SimilarityPolicy per worker) with this.
-std::size_t shardWorkers(const util::Executor* executor, std::size_t numItems);
+std::size_t shardWorkers(const util::PooledExecutor* executor, std::size_t numItems);
 
 /// Runs `fn(workerIndex, itemIndex)` for every item in [0, numItems) through
 /// `executor`, or inline on the calling thread when it is null — the one
 /// place the drivers (offline, online, cross-rank) shard, so they can never
 /// diverge. If `progress` is set, reports (itemsCompleted, numItems) after
 /// each item, serialized and strictly increasing.
-void runSharded(util::Executor* executor, std::size_t numItems,
+void runSharded(util::PooledExecutor* executor, std::size_t numItems,
                 const std::function<void(std::size_t, std::size_t)>& fn,
                 const ProgressFn& progress = {});
 

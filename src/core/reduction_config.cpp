@@ -54,7 +54,7 @@ std::unique_ptr<SimilarityPolicy> ReductionConfig::makePolicy() const {
   return core::makePolicy(method, threshold);
 }
 
-ReductionConfig ReductionConfig::withExecutor(util::Executor& exec) const {
+ReductionConfig ReductionConfig::withExecutor(util::PooledExecutor& exec) const {
   ReductionConfig out = *this;
   out.executor = &exec;
   return out;

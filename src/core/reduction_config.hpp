@@ -13,7 +13,7 @@
 #include "core/similarity.hpp"
 
 namespace tracered::util {
-class Executor;
+class PooledExecutor;
 }  // namespace tracered::util
 
 namespace tracered::core {
@@ -30,7 +30,7 @@ namespace tracered::core {
 struct ReductionConfig {
   Method method = Method::kRelDiff;
   double threshold = 0.8;  // defaultThreshold(kRelDiff)
-  util::Executor* executor = nullptr;
+  util::PooledExecutor* executor = nullptr;
 
   /// Config at the paper's default ("best") threshold for `m`.
   static ReductionConfig defaults(Method m);
@@ -52,7 +52,7 @@ struct ReductionConfig {
 
   /// A copy of this config running through `exec` (sugar for sweeps that
   /// share one executor across many configs).
-  ReductionConfig withExecutor(util::Executor& exec) const;
+  ReductionConfig withExecutor(util::PooledExecutor& exec) const;
 };
 
 }  // namespace tracered::core

@@ -80,7 +80,7 @@ MethodEvaluation evaluateMethod(const PreparedTrace& prepared,
 }
 
 MethodEvaluation evaluateMethodDefault(const PreparedTrace& prepared, core::Method method,
-                                       util::Executor* executor) {
+                                       util::PooledExecutor* executor) {
   core::ReductionConfig config = core::ReductionConfig::defaults(method);
   config.executor = executor;
   return evaluateMethod(prepared, config);

@@ -83,7 +83,7 @@ MethodEvaluation evaluateReduction(const PreparedTrace& prepared,
 /// evaluateMethod at the paper's default threshold, optionally through a
 /// caller-owned executor.
 MethodEvaluation evaluateMethodDefault(const PreparedTrace& prepared, core::Method method,
-                                       util::Executor* executor = nullptr);
+                                       util::PooledExecutor* executor = nullptr);
 
 /// The approximation-distance metric on its own: percentile (default p90) of
 /// absolute timestamp differences between two structurally identical

@@ -48,6 +48,11 @@ inline constexpr std::size_t kMaxFramePayload = 256 * 1024;
 /// capacity).
 inline constexpr std::size_t kDefaultWindowBytes = 256 * 1024;
 
+/// Largest window a server accepts (256x the default): the input ring is
+/// allocated at full window size on every accept, so an unbounded window
+/// would fail the first accept and every connection with it.
+inline constexpr std::size_t kMaxWindowBytes = 64 * 1024 * 1024;
+
 enum class FrameType : std::uint8_t {
   // client -> server
   kHello = 0x01,  ///< u32 magic, u16 version, str config spelling

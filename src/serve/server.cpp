@@ -64,7 +64,7 @@ struct Server::Reply {
   bool ok = false;
 };
 
-/// A connection's ordered hand-off to the ingest pool. The poll loop queues
+/// A connection's ordered hand-off to the worker pool. The poll loop queues
 /// DATA payloads and END; at most one pool task runs a strand at a time
 /// (`scheduled`), so its pushes and its finish keep their order. Shared by
 /// the connection and the task running it, so sweeping a connection
@@ -141,11 +141,12 @@ struct Server::Connection {
 };
 
 Server::Server(ServerOptions options)
-    : options_(std::move(options)), pool_(options_.threads) {
+    : options_(std::move(options)) {
   if (options_.listenAddrs.empty())
     throw std::invalid_argument("serve: at least one listen address is required");
-  if (options_.windowBytes < 4096)
-    throw std::invalid_argument("serve: windowBytes must be at least 4096");
+  if (options_.windowBytes < 4096 || options_.windowBytes > kMaxWindowBytes)
+    throw std::invalid_argument("serve: windowBytes must be between 4096 and " +
+                                std::to_string(kMaxWindowBytes));
   util::ignoreSigpipe();
   for (const std::string& addr : options_.listenAddrs)
     listeners_.push_back(util::listenSocket(addr));
@@ -188,10 +189,13 @@ void Server::noteBuffered(const Connection& c) {
 }
 
 void Server::run() {
-  ingest_.emplace(std::max(2u, util::ThreadPool::hardwareThreads()));
+  const int width =
+      options_.threads > 0 ? options_.threads
+                           : static_cast<int>(util::PooledExecutor::hardwareThreads());
+  workers_.emplace(std::max(2, width));
   pollLoop();
-  conns_.clear();   // cancels every strand
-  ingest_.reset();  // joins the workers once running tasks see the cancel
+  conns_.clear();    // cancels every strand
+  workers_.reset();  // joins the workers once running tasks see the cancel
 }
 
 void Server::pollLoop() {
@@ -446,7 +450,6 @@ void Server::handleFrame(Connection& c, Frame& f) {
         sendError(c, e.what());
         return;
       }
-      config.executor = &pool_;
       c.strand = std::make_shared<Strand>(c.id, config, options_.windowBytes);
       WelcomePayload welcome;
       welcome.windowBytes = options_.windowBytes;
@@ -494,7 +497,7 @@ void Server::enqueue(const std::shared_ptr<Strand>& s, std::vector<std::uint8_t>
     if (s->scheduled) return;  // the running task will get to it
     s->scheduled = true;
   }
-  ingest_->submit([this, s] { runStrand(*s); });
+  workers_->post([this, s] { runStrand(*s); });
 }
 
 void Server::runStrand(Strand& s) {
@@ -530,14 +533,9 @@ void Server::runStrand(Strand& s) {
       }
     }
 
-    core::ReductionResult result;
-    double reduceMs = 0;
-    {
-      std::lock_guard<std::mutex> lock(finishMutex_);
-      const auto t0 = std::chrono::steady_clock::now();
-      result = s.feeder.finishStream();
-      reduceMs = msSince(t0);
-    }
+    const auto t0 = std::chrono::steady_clock::now();
+    const core::ReductionResult result = s.feeder.finishStream();
+    const double reduceMs = msSince(t0);
     Reply reply;
     reply.frames = replyFrames(s.config, result, s.feeder.recordsFed(),
                                s.progress.consumed, s.feedMs, reduceMs);

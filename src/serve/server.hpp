@@ -3,20 +3,20 @@
 //
 // Threading. One poll-loop thread owns every socket and connection: it only
 // accepts, cuts frames, hands DATA payloads off and flushes replies. All
-// trace work runs on a server-owned ingest ThreadPool (hardware concurrency,
-// at least 2 workers). Each connection has a *strand*: a FIFO of its DATA
-// payloads and END, run in order by whichever ingest worker is free, at
+// trace work runs on one server-owned util::PooledExecutor (ServerOptions::
+// threads workers, at least 2). Each connection has a *strand*: a FIFO of
+// its DATA payloads and END, run in order by whichever worker is free, at
 // most one at a time per strand, so one connection's pushes and its finish
-// stay ordered while different connections decode, segment and match
-// concurrently. A small request is therefore never stuck behind the chunks
-// of a large stream on the poll loop. Finishes shard through the one shared
-// PooledExecutor, whose shard() admits one caller at a time, so finishes
-// take a mutex and run one at a time, each at the pool's full width.
-// Workers post their progress and replies back through a queue and the wake
-// pipe. The deterministic core is untouched: a connection is HELLO ->
-// WELCOME -> DATA* -> END on the wire and exactly `feeder.push()* ;
-// finishStream()` inside, so every reduced trace a daemon returns is
-// byte-identical to `tracered reduce` of the same bytes.
+// stay ordered while different connections decode, segment, match and
+// finish concurrently. A small request is therefore never stuck behind the
+// chunks of a large stream on the poll loop. A strand finishes inline on
+// its own worker (its config has no executor), so the daemon never shards
+// and one long finish holds one worker, not the whole pool. Workers post
+// their progress and replies back through a queue and the wake pipe. The
+// deterministic core is untouched: a connection is HELLO -> WELCOME ->
+// DATA* -> END on the wire and exactly `feeder.push()* ; finishStream()`
+// inside, so every reduced trace a daemon returns is byte-identical to
+// `tracered reduce` of the same bytes.
 //
 // Per-connection memory is bounded by construction (the backpressure story,
 // docs/SERVE.md §4, after derecho's P2PConnections ring-buffers + sequence
@@ -45,7 +45,6 @@
 #include "serve/protocol.hpp"
 #include "util/executor.hpp"
 #include "util/socket.hpp"
-#include "util/thread_pool.hpp"
 
 namespace tracered::serve {
 
@@ -53,9 +52,12 @@ struct ServerOptions {
   /// Listen addresses ("unix:<path>" / "tcp:<host>:<port>"); at least one.
   std::vector<std::string> listenAddrs;
   /// Per-connection receive window: input ring capacity, feeder parse-window
-  /// cap, and the stalled-reader output pause threshold.
+  /// cap, and the stalled-reader output pause threshold. Between 4096 and
+  /// kMaxWindowBytes.
   std::size_t windowBytes = kDefaultWindowBytes;
-  /// Shared PooledExecutor width (<= 0 selects hardware concurrency).
+  /// Workers in the daemon's one pool, which runs every strand (<= 0
+  /// selects hardware concurrency). At least 2 run, so one stream never
+  /// holds the only worker.
   int threads = 0;
   /// Accepted connections above this wait in the listen backlog.
   std::size_t maxConnections = 256;
@@ -105,7 +107,7 @@ class Server {
 
  private:
   struct Connection;
-  struct Strand;  ///< a connection's ordered hand-off to the ingest pool
+  struct Strand;  ///< a connection's ordered hand-off to the worker pool
   struct Reply;   ///< a strand's terminal frames (reply or ERROR)
 
   void pollLoop();
@@ -137,8 +139,6 @@ class Server {
   ServerOptions options_;
   std::vector<util::Fd> listeners_;
   util::Fd wakeRead_, wakeWrite_;
-  util::PooledExecutor pool_;
-  std::mutex finishMutex_;  ///< pool_.shard admits one caller at a time
 
   std::map<std::uint64_t, std::unique_ptr<Connection>> conns_;
   std::uint64_t nextConnId_ = 1;
@@ -154,7 +154,7 @@ class Server {
 
   /// Runs the strands; lives for one run() and is joined before it returns.
   /// Declared last: its tasks use every member above.
-  std::optional<util::ThreadPool> ingest_;
+  std::optional<util::PooledExecutor> workers_;
 };
 
 }  // namespace tracered::serve

@@ -6,8 +6,8 @@
 //                segmenter, and the binary/text file formats
 //   * Method + ReductionConfig   which similarity method, at what threshold,
 //                executed how ("avgWave@0.2" via fromName/toString)
-//   * Executor   execution policy: a PooledExecutor whose worker pool is
-//                reused across calls (keep ONE alive for a whole sweep — that
+//   * PooledExecutor   execution policy: the one worker pool, reused
+//                across calls (keep ONE alive for a whole sweep — that
 //                amortizes thread spawn/join); no executor runs inline
 //   * ReductionSession   the facade: feed() records at collection time or
 //                reduce() a segmented trace after the fact; bit-identical

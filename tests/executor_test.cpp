@@ -1,12 +1,15 @@
-// Tests for the Executor abstraction: inline (null executor) and pooled
-// sharding semantics, lazy pool start and reuse, and — the property the
-// redesign exists for — one PooledExecutor driving back-to-back
-// reduceTrace/finish calls staying bit-identical to the serial path.
+// Tests for the one worker pool: inline (null executor) and pooled sharding
+// semantics, fire-and-forget tasks, lazy start, reuse and draining, and —
+// the property the pool exists for — one PooledExecutor driving
+// back-to-back reduceTrace/finish calls staying bit-identical to the serial
+// path.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <set>
+#include <chrono>
+#include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -53,8 +56,74 @@ TEST(InlineSharding, ProgressIsStrictlyIncreasing) {
 TEST(PooledExecutor, ResolvesThreadCounts) {
   EXPECT_EQ(PooledExecutor(4).concurrency(), 4u);
   EXPECT_EQ(PooledExecutor(1).concurrency(), 1u);
-  EXPECT_EQ(PooledExecutor(0).concurrency(), ThreadPool::hardwareThreads());
-  EXPECT_EQ(PooledExecutor(-3).concurrency(), ThreadPool::hardwareThreads());
+  EXPECT_EQ(PooledExecutor(0).concurrency(), PooledExecutor::hardwareThreads());
+  EXPECT_EQ(PooledExecutor(-3).concurrency(), PooledExecutor::hardwareThreads());
+}
+
+TEST(PooledExecutor, WidthIsAtLeastOne) {
+  EXPECT_GE(PooledExecutor::hardwareThreads(), 1u);
+  for (const int threads : {-1, 0, 1}) EXPECT_GE(PooledExecutor(threads).concurrency(), 1u);
+  // A width-1 pool still runs posted work, on its one worker.
+  std::atomic<int> runs{0};
+  {
+    PooledExecutor exec(1);
+    exec.post([&] { runs.fetch_add(1); });
+  }
+  EXPECT_EQ(runs.load(), 1);
+}
+
+TEST(PooledExecutor, RunsEveryTaskPostedFromSeveralThreads) {
+  std::atomic<int> runs{0};
+  {
+    PooledExecutor exec(4);
+    std::vector<std::thread> posters;
+    for (int t = 0; t < 4; ++t)
+      posters.emplace_back([&] {
+        for (int i = 0; i < 100; ++i) exec.post([&] { runs.fetch_add(1); });
+      });
+    for (std::thread& p : posters) p.join();
+    EXPECT_TRUE(exec.started());
+  }  // drains and joins
+  EXPECT_EQ(runs.load(), 400);
+}
+
+TEST(PooledExecutor, DestructionDrainsQueuedTasksAndJoins) {
+  std::atomic<int> runs{0};
+  {
+    PooledExecutor exec(1);
+    // The first task holds the only worker, so the rest are still queued
+    // when the destructor starts.
+    exec.post([&] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      runs.fetch_add(1);
+    });
+    for (int i = 0; i < 50; ++i) exec.post([&] { runs.fetch_add(1); });
+  }
+  EXPECT_EQ(runs.load(), 51);
+}
+
+TEST(PooledExecutor, ShardedSumMatchesSerial) {
+  const std::size_t n = 10000;
+  std::vector<long> values(n);
+  std::iota(values.begin(), values.end(), 1);
+  const long expected = std::accumulate(values.begin(), values.end(), 0L);
+
+  PooledExecutor exec(4);
+  std::vector<long> partial(exec.concurrency(), 0);  // one slot per worker index
+  exec.shard(n, [&](std::size_t w, std::size_t i) { partial[w] += values[i]; });
+  EXPECT_EQ(std::accumulate(partial.begin(), partial.end(), 0L), expected);
+}
+
+TEST(PooledExecutor, SeveralThreadsMayShardAtOnce) {
+  PooledExecutor exec(3);
+  std::vector<std::atomic<int>> counts(2 * 64);
+  std::vector<std::thread> callers;
+  for (std::size_t c = 0; c < 2; ++c)
+    callers.emplace_back([&, c] {
+      exec.shard(64, [&](std::size_t, std::size_t i) { counts[c * 64 + i].fetch_add(1); });
+    });
+  for (std::thread& t : callers) t.join();
+  for (std::size_t i = 0; i < counts.size(); ++i) EXPECT_EQ(counts[i].load(), 1) << i;
 }
 
 TEST(PooledExecutor, StartsLazilyAndOnlyForParallelWork) {

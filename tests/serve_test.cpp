@@ -387,8 +387,10 @@ TEST(ServeDaemon, TextTraceStreamsRemotelyToo) {
 
 TEST(ServeDaemon, SoakManyConcurrentClientsAllByteIdentical) {
   // K >= 8 concurrent producers over distinct registry workloads (including
-  // scenario:* generators) and mixed configs, all against ONE daemon sharing
-  // ONE executor — the acceptance soak.
+  // scenario:* generators) and mixed configs, all against ONE daemon whose
+  // ONE worker pool runs every strand and finish — the acceptance soak. Run
+  // at the default width and at threads = 1 (the 2-worker floor), where
+  // finishes run concurrently on both workers.
   const std::vector<std::pair<std::string, std::string>> jobs = {
       {"late_sender", "avgWave@0.2"},
       {"late_receiver", "relDiff"},
@@ -413,31 +415,50 @@ TEST(ServeDaemon, SoakManyConcurrentClientsAllByteIdentical) {
                    jobs[i].second};
   }
 
-  RunningServer server(unixOptions());
-  const std::string addr = server->boundAddresses().at(0);
+  for (const int threads : {0, 1}) {
+    SCOPED_TRACE("threads = " + std::to_string(threads));
+    ServerOptions options = unixOptions();
+    options.threads = threads;
+    RunningServer server(std::move(options));
+    const std::string addr = server->boundAddresses().at(0);
 
-  std::vector<std::thread> clients;
-  std::vector<std::string> failures(jobs.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i)
-    clients.emplace_back([&, i] {
-      try {
-        const RemoteReduceResult rr =
-            reduceRemote(addr, prepared[i].config, prepared[i].trf.data(),
-                         prepared[i].trf.size(), 5000);
-        if (rr.trrBytes != prepared[i].expected)
-          failures[i] = "daemon bytes differ from offline reduce";
-      } catch (const std::exception& e) {
-        failures[i] = e.what();
-      }
-    });
-  for (std::thread& t : clients) t.join();
+    std::vector<std::thread> clients;
+    std::vector<std::string> failures(jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+      clients.emplace_back([&, i] {
+        try {
+          const RemoteReduceResult rr =
+              reduceRemote(addr, prepared[i].config, prepared[i].trf.data(),
+                           prepared[i].trf.size(), 5000);
+          if (rr.trrBytes != prepared[i].expected)
+            failures[i] = "daemon bytes differ from offline reduce";
+        } catch (const std::exception& e) {
+          failures[i] = e.what();
+        }
+      });
+    for (std::thread& t : clients) t.join();
 
-  for (std::size_t i = 0; i < jobs.size(); ++i)
-    EXPECT_TRUE(failures[i].empty())
-        << jobs[i].first << " / " << jobs[i].second << ": " << failures[i];
-  const Server::Metrics m = server->metrics();
-  EXPECT_EQ(m.tracesServed, jobs.size());
-  EXPECT_EQ(m.protocolErrors, 0u);
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+      EXPECT_TRUE(failures[i].empty())
+          << jobs[i].first << " / " << jobs[i].second << ": " << failures[i];
+    const Server::Metrics m = server->metrics();
+    EXPECT_EQ(m.tracesServed, jobs.size());
+    EXPECT_EQ(m.protocolErrors, 0u);
+  }
+}
+
+TEST(ServeDaemon, WindowOutsideBoundsIsRejectedBeforeBinding) {
+  for (const std::size_t window : {std::size_t{4095}, kMaxWindowBytes + 1}) {
+    ServerOptions options = unixOptions(window);
+    const std::string path = options.listenAddrs.at(0).substr(5);  // drop "unix:"
+    EXPECT_THROW(Server{std::move(options)}, std::invalid_argument) << window;
+    EXPECT_NE(::access(path.c_str(), F_OK), 0) << "bound " << path;
+  }
+  // The bound itself is accepted: the ring is only allocated per accept.
+  ServerOptions widest = unixOptions(kMaxWindowBytes);
+  const std::string path = widest.listenAddrs.at(0).substr(5);
+  EXPECT_NO_THROW(Server{std::move(widest)});
+  ::unlink(path.c_str());
 }
 
 TEST(ServeDaemon, NonHelloFirstFrameIsAnError) {
@@ -792,7 +813,7 @@ TEST(ServeDaemon, BadFrameAfterValidDataIsOneErrorAndNothingAfter) {
 
 TEST(ServeDaemon, StopMidFeedReturnsAndJoins) {
   // stop() while a worker is pushing a stream: run() cancels the strand,
-  // joins the ingest pool and returns. One-byte slices keep the worker busy
+  // joins the worker pool and returns. One-byte slices keep the worker busy
   // for the whole payload long after its first ACK.
   const Trace trace = smallTrace("late_sender", 4.0);
   const std::vector<std::uint8_t> bytes = serializeFullTrace(trace);

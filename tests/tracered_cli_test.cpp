@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "trace/trace_io.hpp"
@@ -243,6 +244,17 @@ TEST(TraceredCli, ExitCodesDistinguishUsageFromRuntimeErrors) {
     EXPECT_EQ(r.exitCode, 2) << cmd;
     EXPECT_NE(r.output.find("--threads must be between 0"), std::string::npos)
         << cmd << "\n" << r.output;
+  }
+  // So are a --window above the 64 MiB cap (it used to die of bad_alloc at
+  // the first accept) and a negative --max-traces (it used to wrap to 2^64-1
+  // and serve forever), both checked before serve binds.
+  for (const auto& [flag, message] :
+       {std::pair<std::string, std::string>{"--window 100000000000000",
+                                            "--window must be between 4096 and 67108864"},
+        {"--max-traces -1", "--max-traces must be at least 0"}}) {
+    const CliResult r = runCli("serve --listen " + sock + " " + flag);
+    EXPECT_EQ(r.exitCode, 2) << flag;
+    EXPECT_NE(r.output.find(message), std::string::npos) << flag << "\n" << r.output;
   }
   // So is --connect-timeout-ms outside [0, INT_MAX], checked before any
   // connect: 4294967296 used to wrap to 0 ms and fail the connect (exit 1).

@@ -33,14 +33,18 @@ int runServe(const CliArgs& args) {
                      "tcp:<host>:<port>)");
   const std::int64_t window = args.getInt("window", 0);
   if (window != 0) {
-    if (window < 4096) throw UsageError("--window must be at least 4096 bytes");
+    if (window < 4096 || window > static_cast<std::int64_t>(serve::kMaxWindowBytes))
+      throw UsageError("--window must be between 4096 and " +
+                       std::to_string(serve::kMaxWindowBytes) + " bytes");
     options.windowBytes = static_cast<std::size_t>(window);
   }
   options.threads = threadsFlag(args, 0);
   const std::int64_t maxClients = args.getInt("max-clients", 256);
   if (maxClients < 1) throw UsageError("--max-clients must be at least 1");
   options.maxConnections = static_cast<std::size_t>(maxClients);
-  options.maxTraces = static_cast<std::uint64_t>(args.getInt("max-traces", 0));
+  const std::int64_t maxTraces = args.getInt("max-traces", 0);
+  if (maxTraces < 0) throw UsageError("--max-traces must be at least 0");
+  options.maxTraces = static_cast<std::uint64_t>(maxTraces);
 
   serve::Server server(std::move(options));
 
@@ -83,10 +87,10 @@ CliCommand makeServeCommand() {
        "kernel-assigned, printed on startup)"},
       {"window", "<bytes>",
        "per-connection receive window: input ring capacity and backpressure "
-       "bound (default 262144)"},
+       "bound, 4096 to 67108864 (default 262144)"},
       {"threads", "<n>",
-       "width of the shared pool every finish shards through; 0 = hardware "
-       "concurrency (default 0)"},
+       "workers in the daemon's one pool, which runs every stream's decode, "
+       "match and finish; 0 = hardware concurrency; at least 2 run (default 0)"},
       {"max-clients", "<n>", "concurrent connection cap (default 256)"},
       {"max-traces", "<n>",
        "exit after serving this many traces; 0 = run until SIGINT/SIGTERM "
